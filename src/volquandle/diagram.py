@@ -371,18 +371,3 @@ def parse_pd(text: str) -> Diagram:
         )
     return Diagram(crossings)
 
-
-def crossing_sign(d: Diagram, crossing: int) -> int:
-    return d.crossing_sign(crossing)
-
-
-def crossing_frame(d: Diagram, crossing: int) -> CrossingFrame:
-    return d.crossing_frame(crossing)
-
-
-def wirtinger_relations(d: Diagram):
-    return d.wirtinger_relations()
-
-
-def region_walk(d: Diagram, from_region: int, to_region: int):
-    return d.region_walk(from_region, to_region)

@@ -65,7 +65,6 @@ def _li2_log_series(z: complex) -> complex:
     return total
 
 
-@lru_cache(maxsize=None)
 def li2(z: complex) -> complex:
     """Dilogarithm Li2(z) on the principal branch."""
     z = complex(z)

@@ -1,8 +1,10 @@
 """The knot quandle realized through a holonomy representation.
 
-Elements are group words in meridian generators; identity is decided by
-the evaluated matrices (up to sign, tolerance 1e-9), never by the words
-themselves. The quandle operation is conjugation: a * b = b^-1 a b.
+An element is a group word in the meridian generators together with the
+boundary fixed point of the parabolic map the word evaluates to. Identity
+is decided by the fixed point's cell on the Riemann sphere, confirmed by
+comparing the words' matrices (up to sign, tolerance 1e-9), never by the
+words themselves. The quandle operation is conjugation: a * b = b^-1 a b.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ Letter = tuple[str, int]
 GroupWord = tuple[Letter, ...]
 
 MATRIX_TOL = 1e-9
-_KEY_GRID = 1e-7
+# Side of the cells on the unit Riemann sphere that ElementPool keys
+# fixed points by. An element is filed under every cell within chordal
+# distance MATRIX_TOL of its fixed point, so `find` meets any equal
+# element in the one cell its own fixed point falls in. On the fig8
+# pools (depths 3-5, both orientations) equal elements' fixed points
+# differ by at most 2.3e-14 and distinct ones by at least 2.5e-3, both
+# chordal: a cell a thousand times the slack files almost every element
+# once and never holds two. Cells are centred on multiples of the side,
+# so fixed points with short rational coordinates (common: the fig8 ones
+# lie in Q(sqrt(-3))) sit at a cell's centre, not on its border.
+FIXED_POINT_CELL = 1e-6
 
 
 def reduce_word(letters) -> GroupWord:
@@ -57,36 +69,29 @@ def word_to_text(word: GroupWord) -> str:
     return " ".join(name if exp == 1 else f"{name}^-1" for name, exp in word)
 
 
-def _sign_normalized_key(m: MoebiusMap) -> tuple:
-    """Rounded entries with the overall +-1 ambiguity removed."""
-    entries = m.entries()
-    sign = 1.0
-    for e in entries:
-        lead = e.real if abs(e.real) >= abs(e.imag) else e.imag
-        if abs(lead) > 1e-6:
-            if lead < 0:
-                sign = -1.0
-            break
-    return tuple(
-        (round(sign * e.real / _KEY_GRID), round(sign * e.imag / _KEY_GRID))
-        for e in entries
-    )
-
-
 @dataclass(frozen=True)
 class QuandleElement:
-    """A meridian word with its evaluated matrix and boundary fixed point."""
+    """A meridian word and the boundary fixed point of its matrix."""
 
     word: GroupWord
-    matrix: MoebiusMap
     fixed_point: BoundaryPoint
-    rep: "HolonomyRep | None" = field(default=None, compare=False, repr=False)
+    rep: "HolonomyRep" = field(compare=False, repr=False)
+    _matrix: MoebiusMap | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def matrix(self) -> MoebiusMap:
+        """The word evaluated in the representation; computed once, on demand.
+
+        Always evaluated from the generator matrices, never by conjugating
+        already-conjugated matrices: each chained conjugation multiplies the
+        error by |b|^2.
+        """
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", evaluate(self.rep, self.word))
+        return self._matrix
 
     def equals(self, other: "QuandleElement", tol: float = MATRIX_TOL) -> bool:
         return self.matrix.eq_up_to_sign(other.matrix, tol)
-
-    def dedup_key(self) -> tuple:
-        return _sign_normalized_key(self.matrix)
 
     def __repr__(self):
         return f"QuandleElement({word_to_text(self.word)!r})"
@@ -118,7 +123,7 @@ class HolonomyRep:
             raise NotParabolic(
                 f"word {word_to_text(word)!r} does not evaluate to a parabolic map"
             )
-        return QuandleElement(word, m, parabolic_fixed_point(m), self)
+        return QuandleElement(word, parabolic_fixed_point(m), self, m)
 
     def generator_elements(self) -> list[QuandleElement]:
         return [self.element(((name, 1),)) for name in self.generators]
@@ -133,37 +138,46 @@ def evaluate(h: HolonomyRep, word: GroupWord) -> MoebiusMap:
     return m
 
 
-def _word_matrix(word: GroupWord, fallback: MoebiusMap, rep) -> MoebiusMap:
-    # Re-evaluating the reduced word from the generator matrices avoids
-    # the error amplification of conjugating already-conjugated matrices
-    # (each chained conjugation multiplies the error by |b|^2).
-    if rep is None:
-        return fallback
-    return evaluate(rep, word)
-
-
 def quandle_op(a: QuandleElement, b: QuandleElement) -> QuandleElement:
-    """a * b = b^-1 a b."""
+    """a * b = b^-1 a b; its fixed point is b^-1 applied to a's."""
     word = reduce_word(invert_word(b.word) + a.word + b.word)
-    binv = b.matrix.inverse()
-    matrix = _word_matrix(word, binv.compose(a.matrix).compose(b.matrix), a.rep)
-    return QuandleElement(word, matrix, binv.apply(a.fixed_point), a.rep)
+    return QuandleElement(word, b.matrix.inverse().apply(a.fixed_point), a.rep)
 
 
 def quandle_op_inv(a: QuandleElement, b: QuandleElement) -> QuandleElement:
     """The unique c with quandle_op(c, b) = a; c = b a b^-1."""
     word = reduce_word(b.word + a.word + invert_word(b.word))
-    matrix = _word_matrix(
-        word, b.matrix.compose(a.matrix).compose(b.matrix.inverse()), a.rep
-    )
-    return QuandleElement(word, matrix, b.matrix.apply(a.fixed_point), a.rep)
+    return QuandleElement(word, b.matrix.apply(a.fixed_point), a.rep)
+
+
+def _sphere_point(p: BoundaryPoint) -> tuple[float, float, float]:
+    """Inverse stereographic image on the unit sphere; infinity is the pole."""
+    if p.is_infinity:
+        return (0.0, 0.0, 1.0)
+    x, y = p.value.real, p.value.imag
+    r2 = x * x + y * y
+    return (2.0 * x / (1.0 + r2), 2.0 * y / (1.0 + r2), (r2 - 1.0) / (1.0 + r2))
+
+
+def _fixed_point_cell(p: BoundaryPoint) -> tuple[int, int, int]:
+    return tuple(round(c / FIXED_POINT_CELL) for c in _sphere_point(p))
+
+
+def _fixed_point_cells(p: BoundaryPoint) -> set[tuple[int, int, int]]:
+    """Every cell that a point within MATRIX_TOL of p can fall in."""
+    spans = [
+        {round((c - MATRIX_TOL) / FIXED_POINT_CELL),
+         round((c + MATRIX_TOL) / FIXED_POINT_CELL)}
+        for c in _sphere_point(p)
+    ]
+    return set(itertools.product(*spans))
 
 
 class ElementPool:
     """Deduplicated, deterministically ordered set of quandle elements."""
 
     def __init__(self, elements=()):
-        self._buckets: dict[tuple, list[int]] = {}
+        self._cells: dict[tuple[int, int, int], list[int]] = {}
         self.elements: list[QuandleElement] = []
         for e in elements:
             self.add(e)
@@ -171,13 +185,14 @@ class ElementPool:
     def add(self, e: QuandleElement) -> bool:
         if self.find(e) is not None:
             return False
-        self._buckets.setdefault(e.dedup_key(), []).append(len(self.elements))
+        for cell in _fixed_point_cells(e.fixed_point):
+            self._cells.setdefault(cell, []).append(len(self.elements))
         self.elements.append(e)
         return True
 
     def find(self, e: QuandleElement) -> int | None:
-        """Index of an equal element, or None. Key lookup + exact confirm."""
-        for idx in self._buckets.get(e.dedup_key(), ()):
+        """Index of an equal element, or None. Cell lookup + matrix confirm."""
+        for idx in self._cells.get(_fixed_point_cell(e.fixed_point), ()):
             if self.elements[idx].equals(e):
                 return idx
         return None
@@ -215,8 +230,7 @@ def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
         for x in base:
             word = reduce_word(ginv + x.word + g)
             m = evaluate(h, word)
-            fp = parabolic_fixed_point(m)
-            pool.add(QuandleElement(word, m, fp, h))
+            pool.add(QuandleElement(word, parabolic_fixed_point(m), h, m))
     return pool.elements
 
 
@@ -382,14 +396,3 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
         volume=rep.volume,
         arc_generators=assignment,
     )
-
-
-def holonomy_to_json_dict(h: HolonomyRep) -> dict:
-    doc = {
-        "generators": list(h.generators),
-        "matrices": {name: h.matrices[name].to_json() for name in h.generators},
-        "orientation": h.orientation,
-    }
-    if h.volume is not None:
-        doc["volume"] = h.volume
-    return doc

@@ -144,18 +144,6 @@ class MoebiusMap:
             raise BadMatrix(f"malformed matrix document: {rows!r}") from exc
 
 
-def moebius_compose(m: MoebiusMap, n: MoebiusMap) -> MoebiusMap:
-    return m.compose(n)
-
-
-def moebius_inverse(m: MoebiusMap) -> MoebiusMap:
-    return m.inverse()
-
-
-def moebius_apply(m: MoebiusMap, p: BoundaryPoint) -> BoundaryPoint:
-    return m.apply(p)
-
-
 def is_parabolic(m: MoebiusMap, tol: float = TOL) -> bool:
     """Trace squared is 4 and the map is not +-identity."""
     tr = m.trace()

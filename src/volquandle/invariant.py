@@ -159,15 +159,17 @@ def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
 
 
 def _extend_regions(
-    d: Diagram,
+    walks,
     arc_colors: dict[int, QuandleElement],
-    base_region: int,
     base_color: QuandleElement,
 ) -> dict[int, QuandleElement]:
-    colors = {base_region: base_color}
-    for region, steps in d.region_steps_from(base_region):
-        if region == base_region:
-            continue
+    """Color every region by walking from the base region's `base_color`.
+
+    `walks` is `Diagram.region_steps_from(base_region)`, computed once by
+    the caller rather than once per coloring.
+    """
+    colors = {}
+    for region, steps in walks:
         color = base_color
         for arc, direction in steps:
             op = quandle_op if direction > 0 else quandle_op_inv
@@ -190,7 +192,8 @@ def natural_coloring(
     arc_colors = {i: h.element(text) for i, text in enumerate(h.arc_generators)}
     if base_color is None:
         base_color = h.element(((h.generators[0], 1),))
-    region_colors = _extend_regions(d, arc_colors, base_region, base_color)
+    walks = d.region_steps_from(base_region)
+    region_colors = _extend_regions(walks, arc_colors, base_color)
     s = ShadowColoring(arc_colors, region_colors, h)
     bad = validate_coloring(d, s)
     if bad:
@@ -260,10 +263,11 @@ def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0)
     if not pool:
         return
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+    walks = d.region_steps_from(base_region)
     rep = pool[0].rep
     for arc_colors in arc_colorings(frames, len(d.arcs), pool):
         for base_color in pool:
-            region_colors = _extend_regions(d, arc_colors, base_region, base_color)
+            region_colors = _extend_regions(walks, arc_colors, base_color)
             yield ShadowColoring(arc_colors, region_colors, rep)
 
 
@@ -334,8 +338,13 @@ def tally_colorings(
     counts: dict[int, int] = {}
     witness: dict[int, ShadowColoring] = {}
     max_residual = 0.0
-    run = enumerate_colorings(d, pool, cap)
-    for s in run.colorings:
+    total = 0
+    truncated = False
+    for s in iter_colorings(d, pool):
+        if total >= cap:
+            truncated = True
+            break
+        total += 1
         result = phi(d, s, w, volume, tol)
         counts[result.k] = counts.get(result.k, 0) + 1
         witness.setdefault(result.k, s)
@@ -344,8 +353,8 @@ def tally_colorings(
         counts=counts,
         first_witness=witness,
         max_residual=max_residual,
-        truncated=run.truncated,
-        total=len(run.colorings),
+        truncated=truncated,
+        total=total,
     )
 
 

@@ -178,7 +178,21 @@ class TestSymmetry:
         assert doc["negatively_amphicheiral"] == "detected"
         assert doc["invertible"] == "detected"
         assert doc["positively_amphicheiral"] == "detected"
-        assert doc["witnesses"]["invertible"] is not None
+        counts = {"-1": 192, "0": 256, "1": 288}
+        assert doc["standard"]["k_counts"] == counts
+        assert doc["reversed"]["k_counts"] == {str(-int(k)): v for k, v in counts.items()}
+        for side in ("standard", "reversed"):
+            assert doc[side]["total_colorings"] == 736
+            assert doc[side]["truncated"] is False
+        assert doc["witnesses"] == {
+            "negatively_amphicheiral": {"0": "x", "1": "z", "2": "y", "3": "y x y^-1"},
+            "invertible": {
+                "0": "x^-1", "1": "w^-1", "2": "x^-1^-1 w^-1 x^-1", "3": "z^-1",
+            },
+            "positively_amphicheiral": {
+                "0": "x^-1", "1": "y^-1", "2": "z^-1", "3": "w^-1",
+            },
+        }
 
     def test_partial_mode_via_explicit_files(self, capsys, tmp_path):
         pd = tmp_path / "k.pd"

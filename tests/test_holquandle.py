@@ -9,8 +9,12 @@ from volquandle.errors import (
     UnknownGenerator,
 )
 from volquandle.fixtures import FIG8_HOLONOMY
+from volquandle.hypgeom import MoebiusMap
 from volquandle.holquandle import (
+    MATRIX_TOL,
     ElementPool,
+    HolonomyRep,
+    _fixed_point_cell,
     enumerate_conjugates,
     evaluate,
     invert_word,
@@ -125,6 +129,62 @@ class TestPools:
     def test_enumerate_negative_depth(self, rep):
         with pytest.raises(ValueError):
             enumerate_conjugates(rep, -1)
+
+
+def equal_pairs(elements):
+    """Pairs (i, j), i < j, that `equals` reports equal.
+
+    `equals` needs every matrix entry within tol * scale up to sign, so the
+    sums of the entries' absolute values then differ by at most
+    4 * tol * scale; only neighbours in that order are compared in full.
+    """
+    size = [sum(abs(x) for x in e.matrix.entries()) for e in elements]
+    order = sorted(range(len(elements)), key=size.__getitem__)
+    pairs = []
+    for at, i in enumerate(order):
+        for j in order[at + 1:]:
+            if size[j] - size[i] > 4 * MATRIX_TOL * max(1.0, size[j]):
+                break
+            if elements[i].equals(elements[j]):
+                pairs.append((min(i, j), max(i, j)))
+    return pairs
+
+
+def parabolic_fixing(p: complex):
+    """A parabolic element (of a one-generator rep) with fixed point p."""
+    m = MoebiusMap(1 + p, -p * p, 1.0, 1 - p)
+    return HolonomyRep(generators=("g",), matrices={"g": m}).element("g")
+
+
+class TestNoSplitDuplicates:
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_pools_have_no_equal_entries(self, request, which):
+        h = request.getfixturevalue(which)
+        sizes = [len(enumerate_conjugates(h, d)) for d in range(5)]
+        assert sizes == [4, 16, 68, 292, 1256]
+        pool = enumerate_conjugates(h, 5)
+        assert len(pool) == 5404
+        assert equal_pairs(pool) == []
+
+    def test_equal_pair_across_a_cell_boundary_is_one_entry(self):
+        def cell(p):
+            return _fixed_point_cell(parabolic_fixing(p).fixed_point)
+
+        # bisect towards a cell boundary until the two fixed points are
+        # within 1e-13 of each other but still in different cells
+        lo, hi = 0.3 + 0.2j, 0.3 + 0.2j + 1e-4 * (1 + 1j)
+        assert cell(lo) != cell(hi)
+        while abs(hi - lo) > 1e-13:
+            mid = (lo + hi) / 2
+            if cell(mid) == cell(lo):
+                lo = mid
+            else:
+                hi = mid
+        assert cell(lo) != cell(hi)
+        a, b = parabolic_fixing(lo), parabolic_fixing(hi)
+        assert a.equals(b)
+        assert len(ElementPool([a, b])) == 1
+        assert ElementPool([b]).find(a) == 0
 
 
 class TestLoadHolonomy:
