@@ -196,9 +196,6 @@ class Diagram:
     def corner_region(self, crossing: int, corner: int) -> int:
         return self._corner_region[crossing][corner % 4]
 
-    def crossing_sign(self, crossing: int) -> int:
-        return self.crossings[crossing].sign
-
     def signs(self) -> tuple[int, ...]:
         return tuple(cr.sign for cr in self.crossings)
 

@@ -10,7 +10,7 @@ words themselves. The quandle operation is conjugation: a * b = b^-1 a b.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     BadMatrix,
@@ -90,8 +90,8 @@ class QuandleElement:
             object.__setattr__(self, "_matrix", evaluate(self.rep, self.word))
         return self._matrix
 
-    def equals(self, other: "QuandleElement", tol: float = MATRIX_TOL) -> bool:
-        return self.matrix.eq_up_to_sign(other.matrix, tol)
+    def equals(self, other: "QuandleElement") -> bool:
+        return self.matrix.eq_up_to_sign(other.matrix, MATRIX_TOL)
 
     def __repr__(self):
         return f"QuandleElement({word_to_text(self.word)!r})"
@@ -148,6 +148,19 @@ def quandle_op_inv(a: QuandleElement, b: QuandleElement) -> QuandleElement:
     """The unique c with quandle_op(c, b) = a; c = b a b^-1."""
     word = reduce_word(b.word + a.word + invert_word(b.word))
     return QuandleElement(word, b.matrix.apply(a.fixed_point), a.rep)
+
+
+def crossing_image(
+    under: QuandleElement, over: QuandleElement, sign: int
+) -> QuandleElement:
+    """The crossing rule: the color of an under-arc once it passes `over`.
+
+    The outgoing under-arc is `under * over` at a positive crossing and
+    `under *^-1 over` at a negative one. With `-sign` the rule runs
+    backwards, from the outgoing under-arc to the incoming one; the region
+    walk uses the same rule with the step direction as the sign.
+    """
+    return quandle_op(under, over) if sign > 0 else quandle_op_inv(under, over)
 
 
 def _sphere_point(p: BoundaryPoint) -> tuple[float, float, float]:
@@ -234,78 +247,60 @@ def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
     return pool.elements
 
 
-def _relation_holds(m_in, m_out, m_over, sign, tol=MATRIX_TOL):
-    conj = m_over if sign > 0 else m_over.inverse()
-    return m_out.eq_up_to_sign(conj.inverse().compose(m_in).compose(conj), tol)
+def arc_colorings(frames, n_arcs: int, pool):
+    """All arc colorings from `pool` satisfying `crossing_image` at every frame.
 
-
-def arc_colorings(frames, n_arcs: int, pool, flip: int = 1):
-    """All arc colorings from `pool` satisfying every crossing relation.
-
-    Deterministic backtracking in arc-id order with forced propagation:
-    once an under-arc and the over-arc at a crossing are colored, the
-    other under-arc is determined. `flip = -1` checks the relations with
-    the conjugation direction exchanged (reversed-orientation case).
-    Yields dicts arc id -> canonical pool element.
+    Colors are drawn from `ElementPool(pool).elements`, so a duplicate in
+    `pool` is one color. Backtracking assigns arcs in id order and colors
+    in pool order, so colorings come out in lexicographic pool order. Once
+    an under-arc and the over-arc at a crossing are colored, the other
+    under-arc is forced (backwards, with the sign negated). Yields dicts
+    arc id -> pool element.
     """
-    pool = list(pool)
-    if not pool:
-        return
     index = ElementPool(pool)
+    elements = index.elements
 
-    def propagate(assign):
-        """Force colors via crossings; returns forced arcs or None."""
-        forced: list[int] = []
+    def force(assign, forced) -> bool:
+        """Color every forced arc (recorded in `forced`); False on a clash."""
         changed = True
         while changed:
             changed = False
             for f in frames:
                 known_in = f.under_in_arc in assign
-                known_out = f.under_out_arc in assign
-                if f.over_arc not in assign or known_in == known_out:
+                if f.over_arc not in assign or known_in == (f.under_out_arc in assign):
                     continue
-                over = assign[f.over_arc]
-                sign = flip * f.sign
                 if known_in:
-                    op = quandle_op if sign > 0 else quandle_op_inv
-                    cand, target = op(assign[f.under_in_arc], over), f.under_out_arc
+                    source, target, sign = f.under_in_arc, f.under_out_arc, f.sign
                 else:
-                    op = quandle_op_inv if sign > 0 else quandle_op
-                    cand, target = op(assign[f.under_out_arc], over), f.under_in_arc
-                at = index.find(cand)
+                    source, target, sign = f.under_out_arc, f.under_in_arc, -f.sign
+                image = crossing_image(assign[source], assign[f.over_arc], sign)
+                at = index.find(image)
                 if at is None:
-                    for t in forced:
-                        del assign[t]
-                    return None
-                assign[target] = pool[at]
+                    return False
+                assign[target] = elements[at]
                 forced.append(target)
                 changed = True
-        for f in frames:
-            if (
-                f.under_in_arc in assign
-                and f.under_out_arc in assign
-                and f.over_arc in assign
-            ):
-                op = quandle_op if flip * f.sign > 0 else quandle_op_inv
-                got = op(assign[f.under_in_arc], assign[f.over_arc])
-                if not got.equals(assign[f.under_out_arc]):
-                    for t in forced:
-                        del assign[t]
-                    return None
-        return forced
+        return all(
+            crossing_image(assign[f.under_in_arc], assign[f.over_arc], f.sign)
+            .equals(assign[f.under_out_arc])
+            for f in frames
+            if f.under_in_arc in assign
+            and f.under_out_arc in assign
+            and f.over_arc in assign
+        )
 
     def backtrack(assign):
         if len(assign) == n_arcs:
             yield dict(assign)
             return
         arc = min(i for i in range(n_arcs) if i not in assign)
-        for color in pool:
+        for color in elements:
             assign[arc] = color
-            forced = propagate(assign)
-            if forced is not None:
+            forced: list[int] = []
+            if force(assign, forced):
                 yield from backtrack(assign)
-                for t in forced:
-                    del assign[t]
+            for t in forced:
+                del assign[t]
             del assign[arc]
 
     yield from backtrack({})
@@ -314,41 +309,24 @@ def arc_colorings(frames, n_arcs: int, pool, flip: int = 1):
 def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
     """Arc coloring words realizing the diagram's Wirtinger generators.
 
-    Relations are conjugations at positive crossings and inverse
-    conjugations at negative ones; a reversed-orientation representation
-    satisfies them with the two roles exchanged. When arcs and generators
-    are in bijection only permutations are tried; otherwise a depth-1
-    conjugate pool is searched, requiring every generator to appear
-    (so the declared matrices really are Wirtinger images).
+    The first coloring from `arc_colorings` (relation: `crossing_image`)
+    that uses every generator, so the declared matrices really are
+    Wirtinger images. With as many arcs as generators the pool is the
+    generators alone and such a coloring is a bijection; otherwise it is
+    the depth-1 conjugate pool. A reversed-orientation representation
+    satisfies the relations with every crossing sign negated.
     """
     flip = -1 if h.orientation == "reversed" else +1
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+    frames = [replace(f, sign=flip * f.sign) for f in frames]
     n_arcs = len(d.arcs)
-    if len(h.generators) == n_arcs:
-        mats = [h.matrices[g] for g in h.generators]
-        for perm in itertools.permutations(range(len(mats))):
-            ok = True
-            for f in frames:
-                if not _relation_holds(
-                    mats[perm[f.under_in_arc]],
-                    mats[perm[f.under_out_arc]],
-                    mats[perm[f.over_arc]],
-                    flip * f.sign,
-                ):
-                    ok = False
-                    break
-            if ok:
-                return tuple(h.generators[perm[a]] for a in range(n_arcs))
-        return None
-    pool = enumerate_conjugates(h, 1)
-    gens = ElementPool(h.generator_elements())
-    for coloring in arc_colorings(frames, n_arcs, pool, flip):
-        used = {gens.find(c) for c in coloring.values()}
-        used.discard(None)
-        if len(used) == len(gens):
-            return tuple(
-                word_to_text(coloring[a].word) for a in range(n_arcs)
-            )
+    pool = enumerate_conjugates(h, 0 if len(h.generators) == n_arcs else 1)
+    # the pool begins with the generators and colors are pool elements, so
+    # an arc colored by a generator carries that generator's own word
+    for coloring in arc_colorings(frames, n_arcs, pool):
+        words = tuple(word_to_text(coloring[a].word) for a in range(n_arcs))
+        if set(h.generators) <= set(words):
+            return words
     return None
 
 

@@ -16,6 +16,11 @@ from .dilog import bloch_wigner
 from .errors import BadMatrix, NotParabolic
 
 TOL = 1e-9
+# Relative distance below which two ideal vertices count as one (the
+# tetrahedron is then degenerate, volume 0): a repeated vertex recomputed
+# through a chain of Moebius maps differs from its twin by rounding
+# noise, and the cross-ratio of that noise is an arbitrary O(1) number.
+COINCIDENT_VERTEX_TOL = 1e-7
 
 
 class BoundaryPoint:
@@ -121,8 +126,8 @@ class MoebiusMap:
         scale = max(1.0, *(abs(x) for x in mine + theirs))
         return min(plus, minus) < tol * scale
 
-    def is_identity_up_to_sign(self, tol: float = TOL) -> bool:
-        return self.eq_up_to_sign(MoebiusMap.identity(), tol)
+    def is_identity_up_to_sign(self) -> bool:
+        return self.eq_up_to_sign(MoebiusMap.identity())
 
     def to_json(self):
         return [
@@ -144,19 +149,19 @@ class MoebiusMap:
             raise BadMatrix(f"malformed matrix document: {rows!r}") from exc
 
 
-def is_parabolic(m: MoebiusMap, tol: float = TOL) -> bool:
+def is_parabolic(m: MoebiusMap) -> bool:
     """Trace squared is 4 and the map is not +-identity."""
     tr = m.trace()
-    if abs(tr * tr - 4.0) >= tol:
+    if abs(tr * tr - 4.0) >= TOL:
         return False
-    return not m.is_identity_up_to_sign(tol)
+    return not m.is_identity_up_to_sign()
 
 
-def parabolic_fixed_point(m: MoebiusMap, tol: float = TOL) -> BoundaryPoint:
+def parabolic_fixed_point(m: MoebiusMap) -> BoundaryPoint:
     """The unique boundary fixed point of a parabolic map."""
-    if not is_parabolic(m, tol):
+    if not is_parabolic(m):
         raise NotParabolic(f"map with trace {m.trace()!r} is not parabolic")
-    if abs(m.c) < tol:
+    if abs(m.c) < TOL:
         return INFINITY
     return BoundaryPoint((m.a - m.d) / (2.0 * m.c))
 
@@ -205,25 +210,23 @@ class IdealTetrahedron:
         return cross_ratio(self.v0, self.v1, self.v2, self.v3)
 
 
-def _nearly_equal(p: BoundaryPoint, q: BoundaryPoint, tol: float) -> bool:
+def _nearly_equal(p: BoundaryPoint, q: BoundaryPoint) -> bool:
     if p.is_infinity or q.is_infinity:
         return p.is_infinity and q.is_infinity
     scale = max(1.0, abs(p.value), abs(q.value))
-    return abs(p.value - q.value) < tol * scale
+    return abs(p.value - q.value) < COINCIDENT_VERTEX_TOL * scale
 
 
-def ideal_tet_volume(t: IdealTetrahedron, tol: float = 1e-7) -> float:
+def ideal_tet_volume(t: IdealTetrahedron) -> float:
     """Signed volume; zero for degenerate (real cross-ratio) tetrahedra.
 
-    Vertices within relative distance `tol` are treated as coincident.
-    Without this guard, a repeated vertex recomputed through a chain of
-    Moebius maps differs from its twin by rounding noise, and the
-    cross-ratio of the noise is an arbitrary O(1) complex number.
+    Vertices within relative distance `COINCIDENT_VERTEX_TOL` are treated
+    as coincident.
     """
     vs = t.vertices()
     for i in range(4):
         for j in range(i + 1, 4):
-            if _nearly_equal(vs[i], vs[j], tol):
+            if _nearly_equal(vs[i], vs[j]):
                 return 0.0
     z = t.shape()
     if isinstance(z, BoundaryPoint):

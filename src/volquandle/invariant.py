@@ -2,8 +2,9 @@
 
 Coloring conventions (coupled with the ones in `diagram`):
 
-* Crossing rule: color(under_out) = color(under_in) * color(over) at a
-  positive crossing, and the inverse operation at a negative one.
+* Crossing rule (`holquandle.crossing_image`): color(under_out) =
+  color(under_in) * color(over) at a positive crossing, and the inverse
+  operation at a negative one.
 * Region rule: crossing an arc along its normal (right side of the arc's
   orientation to its left side) sends r to r * (arc color).
 * Boltzmann weight at a crossing: sign * vol_w(r, x, y) with y the over
@@ -25,11 +26,12 @@ from .diagram import Diagram
 from .errors import ColoringInvalid, InconsistentExtension, OutOfLattice
 from .hypgeom import IdealTetrahedron, ideal_tet_volume
 from .holquandle import (
+    ElementPool,
     HolonomyRep,
     QuandleElement,
     arc_colorings,
+    crossing_image,
     quandle_op,
-    quandle_op_inv,
     word_to_text,
 )
 
@@ -42,7 +44,6 @@ class ShadowColoring:
 
     arc_colors: dict[int, QuandleElement] = field(compare=False)
     region_colors: dict[int, QuandleElement] = field(compare=False)
-    rep: HolonomyRep = field(compare=False)
 
     def to_json_dict(self, base_meridian: QuandleElement | None = None) -> dict:
         doc = {
@@ -125,11 +126,6 @@ def cocycle_residuals(
     return worst
 
 
-def _region_rule_ok(near: QuandleElement, far: QuandleElement, arc: QuandleElement):
-    # near = right side of the arc, far = left (normal) side
-    return quandle_op(near, arc).equals(far)
-
-
 def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
     """All crossing-rule and region-rule violations; empty list means valid."""
     violations = []
@@ -145,15 +141,14 @@ def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
         f = d.crossing_frame(ci)
         cin = s.arc_colors[f.under_in_arc]
         cout = s.arc_colors[f.under_out_arc]
-        over = s.arc_colors[f.over_arc]
-        expected = quandle_op(cin, over) if f.sign > 0 else quandle_op_inv(cin, over)
-        if not expected.equals(cout):
+        if not crossing_image(cin, s.arc_colors[f.over_arc], f.sign).equals(cout):
             violations.append(f"crossing {ci}: under-arc colors break the crossing rule")
     for e in d.edges:
+        # right side of the arc to its left (normal) side: a +1 step
         arc = s.arc_colors[d.arc_of_edge(e)]
         near = s.region_colors[d.region_right(e)]
         far = s.region_colors[d.region_left(e)]
-        if not _region_rule_ok(near, far, arc):
+        if not crossing_image(near, arc, +1).equals(far):
             violations.append(f"edge {e}: region colors break the region rule")
     return violations
 
@@ -166,14 +161,14 @@ def _extend_regions(
     """Color every region by walking from the base region's `base_color`.
 
     `walks` is `Diagram.region_steps_from(base_region)`, computed once by
-    the caller rather than once per coloring.
+    the caller rather than once per coloring. Each step applies
+    `crossing_image` with the step direction as the sign.
     """
     colors = {}
     for region, steps in walks:
         color = base_color
         for arc, direction in steps:
-            op = quandle_op if direction > 0 else quandle_op_inv
-            color = op(color, arc_colors[arc])
+            color = crossing_image(color, arc_colors[arc], direction)
         colors[region] = color
     return colors
 
@@ -194,7 +189,7 @@ def natural_coloring(
         base_color = h.element(((h.generators[0], 1),))
     walks = d.region_steps_from(base_region)
     region_colors = _extend_regions(walks, arc_colors, base_color)
-    s = ShadowColoring(arc_colors, region_colors, h)
+    s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
         raise InconsistentExtension("; ".join(bad))
@@ -210,7 +205,7 @@ def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
         raise ColoringInvalid(f"malformed coloring document: {exc}") from exc
     arc_colors = {int(i): h.element(word) for i, word in arc_words.items()}
     region_colors = {int(i): h.element(word) for i, word in region_words.items()}
-    s = ShadowColoring(arc_colors, region_colors, h)
+    s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
         raise ColoringInvalid("; ".join(bad))
@@ -258,17 +253,18 @@ def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0)
 
     Deterministic: arcs are assigned in id order with forced-arc
     propagation through the crossing rule; the base-region color runs
-    through the pool in order for each complete arc coloring.
+    through the interned pool in order for each complete arc coloring, so
+    a duplicate in `pool` is one color, as it is in `arc_colorings`.
     """
+    pool = ElementPool(pool).elements
     if not pool:
         return
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
     walks = d.region_steps_from(base_region)
-    rep = pool[0].rep
     for arc_colors in arc_colorings(frames, len(d.arcs), pool):
         for base_color in pool:
             region_colors = _extend_regions(walks, arc_colors, base_color)
-            yield ShadowColoring(arc_colors, region_colors, rep)
+            yield ShadowColoring(arc_colors, region_colors)
 
 
 def enumerate_colorings(

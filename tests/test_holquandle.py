@@ -8,13 +8,14 @@ from volquandle.errors import (
     RelationViolated,
     UnknownGenerator,
 )
-from volquandle.fixtures import FIG8_HOLONOMY
+from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED
 from volquandle.hypgeom import MoebiusMap
 from volquandle.holquandle import (
     MATRIX_TOL,
     ElementPool,
     HolonomyRep,
     _fixed_point_cell,
+    arc_colorings,
     enumerate_conjugates,
     evaluate,
     invert_word,
@@ -187,22 +188,43 @@ class TestNoSplitDuplicates:
         assert ElementPool([b]).find(a) == 0
 
 
+class TestArcColorings:
+    @pytest.mark.parametrize("order", ["xxyzw", "yzwxx"])
+    def test_duplicate_in_pool_is_one_color(self, rep, fig8, order):
+        frames = [fig8.crossing_frame(ci) for ci in range(fig8.n_crossings)]
+        named = dict(zip("xyzw", rep.generator_elements()))
+
+        def words(names):
+            pool = [named[n] for n in names]
+            return [
+                tuple(word_to_text(c[a].word) for a in range(4))
+                for c in arc_colorings(frames, 4, pool)
+            ]
+
+        got = words(order)
+        # the colorings of the pool without its duplicate, in its order
+        assert got == words(dict.fromkeys(order))
+        assert len(got) == 6
+        assert sorted(got) == sorted(words("xyzw"))
+
+
 class TestLoadHolonomy:
-    def test_fixture_loads_with_assignment(self, rep, fig8):
-        assert rep.arc_generators is not None
-        assert len(rep.arc_generators) == len(fig8.arcs)
-        assert set(rep.arc_generators) == set(rep.generators)
+    def test_fixture_loads_with_assignment(self, rep):
+        assert rep.arc_generators == ("y", "z", "w", "x")
 
     def test_reversed_fixture_loads(self, rep_reversed):
         assert rep_reversed.orientation == "reversed"
-        assert rep_reversed.arc_generators is not None
+        assert rep_reversed.arc_generators == ("y^-1", "z^-1", "w^-1", "x^-1")
 
     def test_r2_diagram_assignment_uses_conjugates(self, fig8_r2):
         h = load_holonomy(FIG8_HOLONOMY, fig8_r2)
-        assert h.arc_generators is not None
-        assert len(h.arc_generators) == 6
-        # every declared generator still appears among the arc words
-        assert set(h.generators) <= set(h.arc_generators)
+        assert h.arc_generators == ("y", "z", "w", "x", "w", "x")
+
+    def test_r2_diagram_reversed_assignment(self, fig8_r2):
+        h = load_holonomy(FIG8_HOLONOMY_REVERSED, fig8_r2)
+        assert h.arc_generators == (
+            "y^-1", "z^-1", "w^-1", "x^-1", "w^-1", "x^-1"
+        )
 
     def test_identity_matrix_rejected(self, fig8):
         doc = copy.deepcopy(FIG8_HOLONOMY)

@@ -170,6 +170,16 @@ class TestEnumeration:
         assert len(run.colorings) == 1
         assert phi(fig8, run.colorings[0], w, FIG8_VOLUME).k == 0
 
+    def test_duplicate_in_pool_is_one_color(self, fig8, rep):
+        x, y, z, w = rep.generator_elements()
+
+        def words(pool):
+            run = enumerate_colorings(fig8, pool, cap=10**5)
+            return [s.to_json_dict() for s in run.colorings]
+
+        assert len(words([x, y, z, w])) == 24
+        assert words([x, x, y, z, w]) == words([x, y, z, w])
+
     def test_cap_truncates(self, fig8, rep):
         pool = enumerate_conjugates(rep, 1)
         run = enumerate_colorings(fig8, pool, cap=5)
