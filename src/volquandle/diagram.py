@@ -217,35 +217,16 @@ class Diagram:
             sign=cr.sign,
         )
 
-    def wirtinger_relations(self):
-        """One word equation per crossing over formal arc generators a<i>.
+    def region_steps_from(self, base_region: int):
+        """(region, steps) for every region in id order.
 
-        Returns (lhs, rhs) pairs of letter tuples (name, exponent), with
-        lhs = generator of the outgoing under-arc and rhs its conjugate by
-        the over-arc generator (inverse conjugation at negative crossings).
+        `steps` is a shortest dual-graph path from `base_region` as (arc,
+        direction) pairs: direction +1 crosses the arc along its normal
+        (right side to left), -1 against it. One BFS from the base region,
+        visiting neighbours in sorted order, so the paths are deterministic.
         """
-        relations = []
-        for ci, cr in enumerate(self.crossings):
-            g_in = f"a{self._arc_of_edge[cr.under_in]}"
-            g_out = f"a{self._arc_of_edge[cr.under_out]}"
-            g_over = f"a{self._arc_of_edge[cr.over_in]}"
-            e = cr.sign
-            lhs = ((g_out, 1),)
-            rhs = ((g_over, -e), (g_in, 1), (g_over, e))
-            relations.append((lhs, rhs))
-        return relations
-
-    def region_walk(self, from_region: int, to_region: int):
-        """Shortest dual-graph path as (arc, direction) steps.
-
-        direction +1 crosses the arc along its normal (right side to left),
-        -1 against it. Deterministic: BFS visiting regions in id order.
-        """
-        for r in (from_region, to_region):
-            if not 0 <= r < self.n_regions:
-                raise ValueError(f"no such region: {r}")
-        if from_region == to_region:
-            return []
+        if not 0 <= base_region < self.n_regions:
+            raise ValueError(f"no such region: {base_region}")
         # adjacency: edge e steps right->left with direction +1
         neighbors: dict[int, list[tuple[int, int, int]]] = {
             r: [] for r in range(self.n_regions)
@@ -255,35 +236,15 @@ class Diagram:
             left, right = self._region_left[e], self._region_right[e]
             neighbors[right].append((left, arc, +1))
             neighbors[left].append((right, arc, -1))
-        for r in neighbors:
-            neighbors[r].sort()
-        prev: dict[int, tuple[int, int, int]] = {from_region: None}
-        queue = deque([from_region])
+        walks = {base_region: []}
+        queue = deque([base_region])
         while queue:
             r = queue.popleft()
-            if r == to_region:
-                break
-            for nxt, arc, direction in neighbors[r]:
-                if nxt not in prev:
-                    prev[nxt] = (r, arc, direction)
+            for nxt, arc, direction in sorted(neighbors[r]):
+                if nxt not in walks:
+                    walks[nxt] = walks[r] + [(arc, direction)]
                     queue.append(nxt)
-        if to_region not in prev:
-            raise ValueError("regions are not connected")  # cannot happen on S^2
-        steps = []
-        r = to_region
-        while r != from_region:
-            p, arc, direction = prev[r]
-            steps.append((arc, direction))
-            r = p
-        steps.reverse()
-        return steps
-
-    def region_steps_from(self, base_region: int):
-        """(region, steps) for every region, BFS order from base_region."""
-        out = []
-        for r in range(self.n_regions):
-            out.append((r, self.region_walk(base_region, r)))
-        return out
+        return [(r, walks[r]) for r in range(self.n_regions)]
 
     # -- serialization -----------------------------------------------------
 

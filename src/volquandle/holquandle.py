@@ -247,63 +247,95 @@ def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
     return pool.elements
 
 
+def forcing_schedule(frames, n_arcs: int):
+    """Seed arcs for the arc search, and the steps each seed's color forces.
+
+    Returns one `(seed, steps)` pair per branching level. The seed is the
+    uncolored arc whose color forces the most other arcs, lowest id on
+    ties. A step `(source, over, target, sign, check)` applies
+    `crossing_image(source, over, sign)`: it colors `target` or, when
+    `check` is set, must give the color `target` already has. Every
+    crossing is exactly one step, taken as soon as its over-arc and one
+    under-arc are known, lowest crossing first: forward from the incoming
+    under-arc if that is known (a check if the outgoing one is too),
+    otherwise backwards, with the sign negated.
+    """
+
+    def force(known: set, stated: set) -> list:
+        steps = []
+        while True:
+            ready = (
+                i for i, f in enumerate(frames)
+                if i not in stated and f.over_arc in known
+                and (f.under_in_arc in known or f.under_out_arc in known)
+            )
+            i = next(ready, None)
+            if i is None:
+                return steps
+            f = frames[i]
+            stated.add(i)
+            if f.under_in_arc in known:
+                source, target, sign = f.under_in_arc, f.under_out_arc, f.sign
+            else:
+                source, target, sign = f.under_out_arc, f.under_in_arc, -f.sign
+            steps.append((source, f.over_arc, target, sign, target in known))
+            known.add(target)
+
+    known: set[int] = set()
+    stated: set[int] = set()
+
+    def reach(arc) -> int:
+        trial = known | {arc}
+        force(trial, set(stated))
+        return len(trial)
+
+    levels = []
+    while len(known) < n_arcs:
+        seed = max((a for a in range(n_arcs) if a not in known), key=reach)
+        known.add(seed)
+        levels.append((seed, force(known, stated)))
+    return levels
+
+
 def arc_colorings(frames, n_arcs: int, pool):
     """All arc colorings from `pool` satisfying `crossing_image` at every frame.
 
     Colors are drawn from `ElementPool(pool).elements`, so a duplicate in
-    `pool` is one color. Backtracking assigns arcs in id order and colors
-    in pool order, so colorings come out in lexicographic pool order. Once
-    an under-arc and the over-arc at a crossing are colored, the other
-    under-arc is forced (backwards, with the sign negated). Yields dicts
-    arc id -> pool element.
+    `pool` is one color. The search branches only on the seed arcs of
+    `forcing_schedule`, in schedule order and over colors in pool order,
+    and replays each level's steps; colorings come out in lexicographic
+    pool order of their seed colors. Yields dicts arc id -> pool element,
+    keyed in schedule order.
     """
     index = ElementPool(pool)
     elements = index.elements
+    levels = forcing_schedule(frames, n_arcs)
+    order = [  # seeds and forced arcs, in the order the search colors them
+        a for seed, steps in levels for a in (seed, *(s[2] for s in steps if not s[4]))
+    ]
+    color = [0] * n_arcs  # pool index of every known arc
 
-    def force(assign, forced) -> bool:
-        """Color every forced arc (recorded in `forced`); False on a clash."""
-        changed = True
-        while changed:
-            changed = False
-            for f in frames:
-                known_in = f.under_in_arc in assign
-                if f.over_arc not in assign or known_in == (f.under_out_arc in assign):
-                    continue
-                if known_in:
-                    source, target, sign = f.under_in_arc, f.under_out_arc, f.sign
-                else:
-                    source, target, sign = f.under_out_arc, f.under_in_arc, -f.sign
-                image = crossing_image(assign[source], assign[f.over_arc], sign)
-                at = index.find(image)
-                if at is None:
-                    return False
-                assign[target] = elements[at]
-                forced.append(target)
-                changed = True
-        return all(
-            crossing_image(assign[f.under_in_arc], assign[f.over_arc], f.sign)
-            .equals(assign[f.under_out_arc])
-            for f in frames
-            if f.under_in_arc in assign
-            and f.under_out_arc in assign
-            and f.over_arc in assign
-        )
+    def replay(steps) -> bool:
+        for source, over, target, sign, check in steps:
+            at = index.find(
+                crossing_image(elements[color[source]], elements[color[over]], sign)
+            )
+            if at is None or (check and at != color[target]):
+                return False
+            color[target] = at
+        return True
 
-    def backtrack(assign):
-        if len(assign) == n_arcs:
-            yield dict(assign)
+    def backtrack(level):
+        if level == len(levels):
+            yield {arc: elements[color[arc]] for arc in order}
             return
-        arc = min(i for i in range(n_arcs) if i not in assign)
-        for color in elements:
-            assign[arc] = color
-            forced: list[int] = []
-            if force(assign, forced):
-                yield from backtrack(assign)
-            for t in forced:
-                del assign[t]
-            del assign[arc]
+        seed, steps = levels[level]
+        for at in range(len(elements)):
+            color[seed] = at
+            if replay(steps):
+                yield from backtrack(level + 1)
 
-    yield from backtrack({})
+    yield from backtrack(0)
 
 
 def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
@@ -365,12 +397,4 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
             "no assignment of generators to arcs satisfies the "
             "crossing relations (up to sign, tolerance 1e-9)"
         )
-    if d.n_crossings == 0 and len(names) == 1:
-        assignment = (names[0],)
-    return HolonomyRep(
-        generators=names,
-        matrices=matrices,
-        orientation=orientation,
-        volume=rep.volume,
-        arc_generators=assignment,
-    )
+    return replace(rep, arc_generators=assignment)

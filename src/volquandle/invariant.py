@@ -31,6 +31,7 @@ from .holquandle import (
     QuandleElement,
     arc_colorings,
     crossing_image,
+    enumerate_conjugates,
     quandle_op,
     word_to_text,
 )
@@ -251,10 +252,11 @@ class ColoringEnumeration:
 def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0):
     """All valid colorings with arc and base-region colors from the pool.
 
-    Deterministic: arcs are assigned in id order with forced-arc
-    propagation through the crossing rule; the base-region color runs
-    through the interned pool in order for each complete arc coloring, so
-    a duplicate in `pool` is one color, as it is in `arc_colorings`.
+    Deterministic: arc colorings come from `arc_colorings`, in the order
+    of its forcing schedule (seed arcs branch over the pool, the crossing
+    rule forces the rest); the base-region color runs through the
+    interned pool in order for each complete arc coloring, so a duplicate
+    in `pool` is one color, as it is in `arc_colorings`.
     """
     pool = ElementPool(pool).elements
     if not pool:
@@ -325,8 +327,6 @@ def tally_colorings(
     tol: float = CLASSIFICATION_TOL,
 ) -> KTally:
     """Enumerate pool colorings at the given conjugation depth and classify."""
-    from .holquandle import enumerate_conjugates
-
     pool = enumerate_conjugates(h, depth)
     if w is None:
         w = h.element(((h.generators[0], 1),))

@@ -100,34 +100,22 @@ class TestStructure:
             assert f.sign == cr.sign
 
 
-class TestWirtinger:
-    def test_relation_count(self, fig8):
-        assert len(fig8.wirtinger_relations()) == 4
-
-    def test_relation_shape(self, fig8):
-        for lhs, rhs in fig8.wirtinger_relations():
-            assert len(lhs) == 1 and lhs[0][1] == 1
-            assert len(rhs) == 3
-            assert rhs[0][0] == rhs[2][0]
-            assert rhs[0][1] == -rhs[2][1]
-
-
 class TestRegionWalk:
     def test_trivial_walk(self, fig8):
-        assert fig8.region_walk(0, 0) == []
+        assert dict(fig8.region_steps_from(0))[0] == []
 
     def test_walks_reach_all_regions(self, fig8):
         steps = dict(fig8.region_steps_from(0))
         assert set(steps) == set(range(fig8.n_regions))
 
     def test_walk_reverse_is_inverse(self, fig8):
-        fwd = fig8.region_walk(0, 3)
-        back = fig8.region_walk(3, 0)
+        fwd = dict(fig8.region_steps_from(0))[3]
+        back = dict(fig8.region_steps_from(3))[0]
         assert len(fwd) == len(back)
 
     def test_unknown_region(self, fig8):
         with pytest.raises(ValueError):
-            fig8.region_walk(0, 99)
+            fig8.region_steps_from(99)
 
 
 class TestSerialization:

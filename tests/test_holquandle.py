@@ -1,7 +1,11 @@
 import copy
+import functools
+import itertools
+from dataclasses import replace
 
 import pytest
 
+from volquandle.diagram import parse_pd
 from volquandle.errors import (
     BadMatrix,
     NotParabolic,
@@ -16,8 +20,10 @@ from volquandle.holquandle import (
     HolonomyRep,
     _fixed_point_cell,
     arc_colorings,
+    crossing_image,
     enumerate_conjugates,
     evaluate,
+    forcing_schedule,
     invert_word,
     load_holonomy,
     quandle_op,
@@ -188,6 +194,95 @@ class TestNoSplitDuplicates:
         assert ElementPool([b]).find(a) == 0
 
 
+# KnotInfo PD codes; in id order 5_1 and 6_2 need three seed arcs
+KNOTS = {
+    "3_1": "X(1,5,2,4) X(3,1,4,6) X(5,3,6,2)",
+    "5_1": "X(1,6,2,7) X(3,8,4,9) X(5,10,6,1) X(7,2,8,3) X(9,4,10,5)",
+    "6_2": "X(1,8,2,9) X(3,11,4,10) X(5,1,6,12) X(7,2,8,3) X(9,7,10,6) X(11,5,12,4)",
+}
+
+
+def frames_of(d, flip=+1):
+    """Crossing frames, with every sign times `flip` as for a reversed rep."""
+    frames = map(d.crossing_frame, range(d.n_crossings))
+    return [replace(f, sign=flip * f.sign) for f in frames]
+
+
+def brute_force_colorings(frames, n_arcs, pool):
+    """Every assignment of pool indices to arcs obeying `crossing_image`."""
+
+    @functools.cache
+    def holds(under, over, sign, out):
+        return crossing_image(pool[under], pool[over], sign).equals(pool[out])
+
+    return {
+        colors
+        for colors in itertools.product(range(len(pool)), repeat=n_arcs)
+        if all(
+            holds(colors[f.under_in_arc], colors[f.over_arc], f.sign,
+                  colors[f.under_out_arc])
+            for f in frames
+        )
+    }
+
+
+class TestForcingSchedule:
+    @pytest.mark.parametrize("flip", [+1, -1])
+    @pytest.mark.parametrize("which", ["fig8", "fig8_r2"])
+    def test_one_step_per_crossing_one_color_per_arc(self, request, which, flip):
+        d = request.getfixturevalue(which)
+        frames = frames_of(d, flip)
+        levels = forcing_schedule(frames, len(d.arcs))
+        crossings = sorted(
+            (f.under_in_arc, f.over_arc, f.under_out_arc, f.sign) for f in frames
+        )
+        stated, colored = [], []
+        for seed, steps in levels:
+            colored.append(seed)
+            for source, over, target, sign, check in steps:
+                # a step only reads arcs colored before it
+                assert source in colored and over in colored
+                assert (target in colored) == check
+                forward = (source, over, target, sign)
+                if check or forward in crossings:
+                    stated.append(forward)
+                else:
+                    stated.append((target, over, source, -sign))
+                if not check:
+                    colored.append(target)
+        assert sorted(stated) == crossings
+        assert sorted(colored) == list(range(len(d.arcs)))
+
+    def test_fig8_seeds(self, fig8):
+        levels = forcing_schedule(frames_of(fig8), len(fig8.arcs))
+        assert [seed for seed, _ in levels] == [0, 1]
+
+    @pytest.mark.parametrize("knot", ["5_1", "6_2"])
+    def test_two_seeds_where_id_order_needs_three(self, knot):
+        d = parse_pd(KNOTS[knot])
+        assert len(forcing_schedule(frames_of(d), len(d.arcs))) == 2
+
+    @pytest.mark.parametrize(
+        "knot, depth",
+        [("fig8", 1), ("fig8_r2", 0), ("3_1", 1), ("5_1", 0), ("6_2", 0)],
+    )
+    def test_arc_colorings_equal_brute_force(self, request, rep, knot, depth):
+        if knot in KNOTS:
+            d = parse_pd(KNOTS[knot])
+        else:
+            d = request.getfixturevalue(knot)
+        pool = enumerate_conjugates(rep, depth)
+        at = {id(e): i for i, e in enumerate(pool)}
+        frames = frames_of(d)
+        n_arcs = len(d.arcs)
+        found = [
+            tuple(at[id(c[a])] for a in range(n_arcs))
+            for c in arc_colorings(frames, n_arcs, pool)
+        ]
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_colorings(frames, n_arcs, pool)
+
+
 class TestArcColorings:
     @pytest.mark.parametrize("order", ["xxyzw", "yzwxx"])
     def test_duplicate_in_pool_is_one_color(self, rep, fig8, order):
@@ -225,6 +320,10 @@ class TestLoadHolonomy:
         assert h.arc_generators == (
             "y^-1", "z^-1", "w^-1", "x^-1", "w^-1", "x^-1"
         )
+
+    def test_one_generator_on_crossingless_diagram(self):
+        doc = {"generators": ["w"], "matrices": {"w": FIG8_HOLONOMY["matrices"]["w"]}}
+        assert load_holonomy(doc, parse_pd("")).arc_generators == ("w",)
 
     def test_identity_matrix_rejected(self, fig8):
         doc = copy.deepcopy(FIG8_HOLONOMY)
