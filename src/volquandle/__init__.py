@@ -42,7 +42,6 @@ from .hypgeom import (
     BoundaryPoint,
     IdealTetrahedron,
     MoebiusMap,
-    cross_ratio,
     ideal_tet_volume,
     is_parabolic,
     parabolic_fixed_point,
@@ -102,7 +101,6 @@ __all__ = [
     "cocycle_residuals",
     "cocycle_vol",
     "coloring_from_doc",
-    "cross_ratio",
     "crossing_image",
     "enumerate_colorings",
     "enumerate_conjugates",

@@ -164,12 +164,9 @@ def crossing_image(
 
 
 def _sphere_point(p: BoundaryPoint) -> tuple[float, float, float]:
-    """Inverse stereographic image on the unit sphere; infinity is the pole."""
-    if p.is_infinity:
-        return (0.0, 0.0, 1.0)
-    x, y = p.value.real, p.value.imag
-    r2 = x * x + y * y
-    return (2.0 * x / (1.0 + r2), 2.0 * y / (1.0 + r2), (r2 - 1.0) / (1.0 + r2))
+    """Hopf image on the unit sphere; infinity (1, 0) is the pole (0, 0, 1)."""
+    w = p.u * p.v.conjugate()
+    return (2.0 * w.real, 2.0 * w.imag, abs(p.u) ** 2 - abs(p.v) ** 2)
 
 
 def _fixed_point_cell(p: BoundaryPoint) -> tuple[int, int, int]:

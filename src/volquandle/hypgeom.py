@@ -1,9 +1,13 @@
 """Boundary geometry of hyperbolic 3-space in the upper half-space model.
 
-Points of the ideal boundary live on the Riemann sphere C u {inf};
-orientation-preserving isometries act as Moebius maps (PSL(2, C), so all
-matrix comparisons are up to a global sign). Signed ideal-tetrahedron
-volume is the Bloch-Wigner function of the vertex cross-ratio.
+A point of the ideal boundary CP^1 is a unit vector (u, v) in C^2, up to
+phase: z in C is (z, 1) scaled to unit length and infinity is (1, 0), so
+nothing branches on infinity. The one closeness test is the bracket
+|[p, q]| = |p.u q.v - p.v q.u|, half the chordal distance on the unit
+Riemann sphere. Orientation-preserving isometries act as Moebius maps
+(PSL(2, C), so all matrix comparisons are up to a global sign). Signed
+ideal-tetrahedron volume is the Bloch-Wigner function of the vertex
+cross-ratio, a ratio of brackets.
 """
 
 from __future__ import annotations
@@ -16,51 +20,47 @@ from .dilog import bloch_wigner
 from .errors import BadMatrix, NotParabolic
 
 TOL = 1e-9
-# Relative distance below which two ideal vertices count as one (the
-# tetrahedron is then degenerate, volume 0): a repeated vertex recomputed
-# through a chain of Moebius maps differs from its twin by rounding
-# noise, and the cross-ratio of that noise is an arbitrary O(1) number.
+# Bracket (half the chordal distance) below which two ideal vertices
+# count as one (the tetrahedron is then degenerate, volume 0): a repeated
+# vertex recomputed through a chain of Moebius maps differs from its twin
+# by rounding noise, and the cross-ratio of that noise is an arbitrary
+# O(1) number.
 COINCIDENT_VERTEX_TOL = 1e-7
 
 
 class BoundaryPoint:
-    """A point of C u {inf}; immutable. Use `finite()` or `INFINITY`."""
+    """A point of CP^1, the unit vector (u, v) up to phase; immutable.
 
-    __slots__ = ("value",)
+    Use `finite(z)` or `INFINITY`; `BoundaryPoint(u, v)` scales any
+    nonzero vector to unit length.
+    """
 
-    def __init__(self, value: complex | None):
-        if value is not None:
-            value = complex(value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError("finite boundary point with non-finite components")
-        object.__setattr__(self, "value", value)
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: complex, v: complex):
+        u, v = complex(u), complex(v)
+        n = math.hypot(abs(u), abs(v))
+        if not (0.0 < n < math.inf):
+            raise ValueError(f"({u!r}, {v!r}) is not a point of CP^1")
+        object.__setattr__(self, "u", u / n)
+        object.__setattr__(self, "v", v / n)
 
     def __setattr__(self, *_):
         raise AttributeError("BoundaryPoint is immutable")
 
     @classmethod
     def finite(cls, value: complex) -> "BoundaryPoint":
-        return cls(value)
+        return cls(value, 1.0)
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def approx_eq(self, other: "BoundaryPoint", tol: float = TOL) -> bool:
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return abs(self.value - other.value) < tol
+    def distance(self, other: "BoundaryPoint") -> float:
+        """The bracket |[p, q]| = |p.u q.v - p.v q.u|, half the chordal distance."""
+        return abs(self.u * other.v - self.v * other.u)
 
     def __repr__(self):
-        return "INFINITY" if self.is_infinity else f"BoundaryPoint({self.value!r})"
-
-    def to_json(self):
-        if self.is_infinity:
-            return "inf"
-        return [self.value.real, self.value.imag]
+        return f"BoundaryPoint({self.u!r}, {self.v!r})"
 
 
-INFINITY = BoundaryPoint(None)
+INFINITY = BoundaryPoint(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,7 @@ class MoebiusMap:
         return self.a + self.d
 
     def apply(self, p: BoundaryPoint) -> BoundaryPoint:
-        if p.is_infinity:
-            if abs(self.c) < TOL:
-                return INFINITY
-            return BoundaryPoint(self.a / self.c)
-        z = p.value
-        den = self.c * z + self.d
-        if abs(den) < 1e-12 * max(1.0, abs(self.c * z), abs(self.d)):
-            return INFINITY
-        return BoundaryPoint((self.a * z + self.b) / den)
+        return BoundaryPoint(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)
 
     def eq_up_to_sign(self, other: "MoebiusMap", tol: float = TOL) -> bool:
         mine = self.entries()
@@ -150,48 +142,28 @@ class MoebiusMap:
 
 
 def is_parabolic(m: MoebiusMap) -> bool:
-    """Trace squared is 4 and the map is not +-identity."""
+    """Trace squared is 4 and the map is not +-identity.
+
+    The trace test scales with entry magnitude, as `eq_up_to_sign` does:
+    a long word's rounding error in the trace grows with its entries.
+    """
     tr = m.trace()
-    if abs(tr * tr - 4.0) >= TOL:
+    if abs(tr * tr - 4.0) >= TOL * max(1.0, *(abs(x) for x in m.entries())):
         return False
     return not m.is_identity_up_to_sign()
 
 
 def parabolic_fixed_point(m: MoebiusMap) -> BoundaryPoint:
-    """The unique boundary fixed point of a parabolic map."""
+    """The unique boundary fixed point of a parabolic map.
+
+    It spans the image of the nilpotent m - (tr/2) I, whose columns are
+    parallel; the longer one is taken, so the point is well conditioned.
+    """
     if not is_parabolic(m):
         raise NotParabolic(f"map with trace {m.trace()!r} is not parabolic")
-    if abs(m.c) < TOL:
-        return INFINITY
-    return BoundaryPoint((m.a - m.d) / (2.0 * m.c))
-
-
-def _proj(p: BoundaryPoint) -> tuple[complex, complex]:
-    if p.is_infinity:
-        return (1.0 + 0j, 0j)
-    return (p.value, 1.0 + 0j)
-
-
-def cross_ratio(
-    v0: BoundaryPoint, v1: BoundaryPoint, v2: BoundaryPoint, v3: BoundaryPoint
-) -> complex | BoundaryPoint:
-    """((v3-v0)(v2-v1)) / ((v2-v0)(v3-v1)), projectively.
-
-    Works with any placement of infinity. Returns INFINITY when the
-    denominator vanishes; 0, 1 or INFINITY signal a degenerate tetrahedron.
-    """
-
-    def diff(p, q):
-        (pp, pq), (qp, qq) = _proj(p), _proj(q)
-        return pp * qq - qp * pq
-
-    num = diff(v3, v0) * diff(v2, v1)
-    den = diff(v2, v0) * diff(v3, v1)
-    if den == 0:
-        if num == 0:
-            return 1.0 + 0j  # doubly degenerate; any volume-0 value works
-        return INFINITY
-    return num / den
+    if abs(m.c) >= abs(m.b):
+        return BoundaryPoint(m.a - m.d, 2.0 * m.c)
+    return BoundaryPoint(2.0 * m.b, m.d - m.a)
 
 
 @dataclass(frozen=True)
@@ -206,29 +178,24 @@ class IdealTetrahedron:
     def vertices(self):
         return (self.v0, self.v1, self.v2, self.v3)
 
-    def shape(self) -> complex | BoundaryPoint:
-        return cross_ratio(self.v0, self.v1, self.v2, self.v3)
-
-
-def _nearly_equal(p: BoundaryPoint, q: BoundaryPoint) -> bool:
-    if p.is_infinity or q.is_infinity:
-        return p.is_infinity and q.is_infinity
-    scale = max(1.0, abs(p.value), abs(q.value))
-    return abs(p.value - q.value) < COINCIDENT_VERTEX_TOL * scale
-
 
 def ideal_tet_volume(t: IdealTetrahedron) -> float:
-    """Signed volume; zero for degenerate (real cross-ratio) tetrahedra.
+    """Signed volume D(z), z = [v0,v3][v1,v2] / ([v0,v2][v1,v3]) the cross-ratio.
 
-    Vertices within relative distance `COINCIDENT_VERTEX_TOL` are treated
-    as coincident.
+    Zero for degenerate (real cross-ratio) tetrahedra, and zero when two
+    vertices have a bracket below `COINCIDENT_VERTEX_TOL`.
     """
-    vs = t.vertices()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if _nearly_equal(vs[i], vs[j]):
-                return 0.0
-    z = t.shape()
-    if isinstance(z, BoundaryPoint):
+    u0, v0 = t.v0.u, t.v0.v
+    u1, v1 = t.v1.u, t.v1.v
+    u2, v2 = t.v2.u, t.v2.v
+    u3, v3 = t.v3.u, t.v3.v
+    b01 = u0 * v1 - v0 * u1
+    b02 = u0 * v2 - v0 * u2
+    b03 = u0 * v3 - v0 * u3
+    b12 = u1 * v2 - v1 * u2
+    b13 = u1 * v3 - v1 * u3
+    b23 = u2 * v3 - v2 * u3
+    nearest = min(abs(b01), abs(b02), abs(b03), abs(b12), abs(b13), abs(b23))
+    if nearest < COINCIDENT_VERTEX_TOL:
         return 0.0
-    return bloch_wigner(z)
+    return bloch_wigner(b03 * b12 / (b02 * b13))

@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -13,12 +14,14 @@ from volquandle.errors import (
     UnknownGenerator,
 )
 from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED
-from volquandle.hypgeom import MoebiusMap
+from volquandle.hypgeom import INFINITY, BoundaryPoint, MoebiusMap
 from volquandle.holquandle import (
+    FIXED_POINT_CELL,
     MATRIX_TOL,
     ElementPool,
     HolonomyRep,
     _fixed_point_cell,
+    _sphere_point,
     arc_colorings,
     crossing_image,
     enumerate_conjugates,
@@ -108,7 +111,7 @@ class TestQuandleAxioms:
         for a in pool[::7]:
             for b in pool[::7]:
                 expected = b.matrix.inverse().apply(a.fixed_point)
-                assert quandle_op(a, b).fixed_point.approx_eq(expected, 1e-8)
+                assert quandle_op(a, b).fixed_point.distance(expected) < 1e-8
 
 
 class TestPools:
@@ -161,6 +164,34 @@ def parabolic_fixing(p: complex):
     """A parabolic element (of a one-generator rep) with fixed point p."""
     m = MoebiusMap(1 + p, -p * p, 1.0, 1 - p)
     return HolonomyRep(generators=("g",), matrices={"g": m}).element("g")
+
+
+def stereographic(z: complex) -> tuple[float, float, float]:
+    """Inverse stereographic projection of a finite point."""
+    r2 = z.real * z.real + z.imag * z.imag
+    return (2.0 * z.real / (1.0 + r2), 2.0 * z.imag / (1.0 + r2),
+            (r2 - 1.0) / (1.0 + r2))
+
+
+class TestSpherePoint:
+    def test_hopf_map_is_stereographic(self):
+        rng = random.Random(11)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(200):
+                z = scale * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                hopf = _sphere_point(BoundaryPoint.finite(z))
+                assert max(abs(a - b) for a, b in zip(hopf, stereographic(z))) < 1e-15
+
+    def test_infinity_is_the_pole(self):
+        assert _sphere_point(INFINITY) == (0.0, 0.0, 1.0)
+
+    def test_pool_cells_match_stereographic_cells(self, rep):
+        for e in enumerate_conjugates(rep, 3):
+            if e.fixed_point.v == 0.0:
+                continue
+            z = e.fixed_point.u / e.fixed_point.v
+            old = tuple(round(c / FIXED_POINT_CELL) for c in stereographic(z))
+            assert _fixed_point_cell(e.fixed_point) == old
 
 
 class TestNoSplitDuplicates:

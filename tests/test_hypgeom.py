@@ -5,13 +5,15 @@ import random
 
 import pytest
 
+from volquandle.dilog import bloch_wigner
 from volquandle.errors import BadMatrix, NotParabolic
+from volquandle.holquandle import _sphere_point
 from volquandle.hypgeom import (
     INFINITY,
+    TOL,
     BoundaryPoint,
     IdealTetrahedron,
     MoebiusMap,
-    cross_ratio,
     ideal_tet_volume,
     is_parabolic,
     parabolic_fixed_point,
@@ -37,7 +39,7 @@ def random_tetrahedron(rng):
             bp(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(4)
         ]
         if all(
-            not vs[i].approx_eq(vs[j], 1e-2)
+            vs[i].distance(vs[j]) >= 1e-3
             for i in range(4)
             for j in range(i + 1, 4)
         ):
@@ -46,25 +48,35 @@ def random_tetrahedron(rng):
 
 class TestBoundaryPoint:
     def test_infinity_singleton(self):
-        assert INFINITY.is_infinity
-        assert not bp(3 + 4j).is_infinity
+        assert (INFINITY.u, INFINITY.v) == (1.0, 0.0)
+        assert INFINITY.distance(INFINITY) == 0.0
+        assert INFINITY.distance(bp(3 + 4j)) > 0.1
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
-            bp(1.0).value = 2.0
+            bp(1.0).u = 2.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             bp(complex("inf"))
+        with pytest.raises(ValueError):
+            BoundaryPoint(0.0, 0.0)
 
-    def test_approx_eq(self):
-        assert bp(1.0).approx_eq(bp(1.0 + 1e-12))
-        assert not bp(1.0).approx_eq(INFINITY)
-        assert INFINITY.approx_eq(INFINITY)
+    def test_distance(self):
+        assert bp(1.0).distance(bp(1.0 + 1e-12)) < TOL
+        assert bp(1.0).distance(INFINITY) > 0.5
+        # (z, 1) and (1, 1/z) are one point; scale and phase do not matter
+        z = 2 - 3j
+        assert bp(z).distance(BoundaryPoint(1j, 1j / z)) < 1e-15
+        # far-out finite points are close to infinity, chordally
+        assert bp(1e8 * (1 + 1j)).distance(INFINITY) < 1e-8
 
-    def test_json(self):
-        assert INFINITY.to_json() == "inf"
-        assert bp(1 + 2j).to_json() == [1.0, 2.0]
+    def test_distance_is_half_chordal(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            p, q = (bp(complex(rng.gauss(0, 3), rng.gauss(0, 3))) for _ in "pq")
+            chord = math.dist(_sphere_point(p), _sphere_point(q))
+            assert abs(p.distance(q) - chord / 2.0) < 1e-12
 
 
 class TestMoebiusMap:
@@ -85,13 +97,13 @@ class TestMoebiusMap:
 
     def test_apply_moves_infinity_to_pole_image(self):
         m = MoebiusMap(1.0, 2.0, 3.0, 4.0)
-        assert m.apply(INFINITY).approx_eq(bp(1.0 / 3.0))
+        assert m.apply(INFINITY).distance(bp(1.0 / 3.0)) < TOL
         # preimage of infinity is -d/c
-        assert m.apply(bp(-4.0 / 3.0)).is_infinity
+        assert m.apply(bp(-4.0 / 3.0)).distance(INFINITY) < TOL
 
     def test_translation_fixes_infinity(self):
         m = MoebiusMap(1.0, 5.0, 0.0, 1.0)
-        assert m.apply(INFINITY).is_infinity
+        assert m.apply(INFINITY).distance(INFINITY) == 0.0
 
     def test_eq_up_to_sign(self):
         m = MoebiusMap(1.0, 1.0, 0.0, 1.0)
@@ -121,14 +133,38 @@ class TestParabolic:
     def test_loxodromic_is_not(self):
         assert not is_parabolic(MoebiusMap(2.0, 0.0, 0.0, 0.5))
 
+    @staticmethod
+    def _riley(s, t, da):
+        """[[1 + st + da, -s^2], [t^2, 1 - st]]: parabolic when da = 0."""
+        return MoebiusMap(1 + s * t + da, -s * s, t * t, 1 - s * t)
+
+    def test_large_entries_relative_trace(self):
+        """Rounding that grows with the entries does not make a map loxodromic."""
+        m = self._riley(50.0 + 5j, 100.0 - 10j, 1e-12)
+        assert max(abs(x) for x in m.entries()) > 1e3
+        err = abs(m.trace() - 2.0)
+        assert 1e-9 < err < 1e-8
+        assert abs(m.trace() ** 2 - 4.0) >= TOL  # an absolute test rejects it
+        assert is_parabolic(m)
+        p = parabolic_fixed_point(m)
+        assert m.apply(p).distance(p) < 1e-8
+
+    def test_large_entries_loxodromic_rejected(self):
+        m = self._riley(50.0 + 5j, 100.0 - 10j, 2e-8)
+        assert abs(m.trace() - 2.0) > 1e-5
+        assert not is_parabolic(m)
+        with pytest.raises(NotParabolic):
+            parabolic_fixed_point(m)
+
     def test_fixed_point_upper_triangular(self):
-        assert parabolic_fixed_point(MoebiusMap(1.0, 1.0, 0.0, 1.0)).is_infinity
+        p = parabolic_fixed_point(MoebiusMap(1.0, 1.0, 0.0, 1.0))
+        assert p.distance(INFINITY) == 0.0
 
     def test_fixed_point_generic(self):
         m = MoebiusMap(1.0, 0.0, 1.0, 1.0)
         p = parabolic_fixed_point(m)
-        assert p.approx_eq(bp(0.0))
-        assert m.apply(p).approx_eq(p)
+        assert p.distance(bp(0.0)) < TOL
+        assert m.apply(p).distance(p) < TOL
 
     def test_non_parabolic_raises(self):
         with pytest.raises(NotParabolic):
@@ -141,26 +177,37 @@ class TestParabolic:
             g = random_map(rng)
             m = g.inverse().compose(base).compose(g)
             p = parabolic_fixed_point(m)
-            assert m.apply(p).approx_eq(p, 1e-8)
+            assert m.apply(p).distance(p) < 1e-8
 
 
 class TestCrossRatio:
-    def test_standard_position(self):
-        z = cross_ratio(bp(0.0), INFINITY, bp(1.0), bp(2 + 1j))
-        # (v3 - v0)(v2 - v1)/((v2 - v0)(v3 - v1)) with v1 = infinity
-        assert abs(z - (2 + 1j)) < 1e-14
+    """The cross-ratio has one formula, the bracket ratio in ideal_tet_volume."""
 
-    def test_degenerate_pair_gives_marker(self):
-        z = cross_ratio(bp(0.0), bp(1.0), bp(0.0), bp(2.0))
-        assert isinstance(z, BoundaryPoint) or z in (0.0, 1.0)
+    def test_standard_position(self):
+        # (v0, v1, v2, v3) = (0, inf, 1, z) has cross-ratio z
+        t = IdealTetrahedron(bp(0.0), INFINITY, bp(1.0), bp(2 + 1j))
+        assert abs(ideal_tet_volume(t) - bloch_wigner(2 + 1j)) < 1e-14
+
+    def test_degenerate_pair_gives_zero(self):
+        t = IdealTetrahedron(bp(0.0), bp(1.0), bp(0.0), bp(2.0))
+        assert ideal_tet_volume(t) == 0.0
 
     def test_moebius_invariance(self):
+        """Maps that send a vertex exactly to infinity, and infinity to a point."""
         rng = random.Random(29)
-        for _ in range(1000):
+        for _ in range(200):
             t = random_tetrahedron(rng)
-            g = random_map(rng)
-            moved = IdealTetrahedron(*(g.apply(v) for v in t.vertices()))
-            assert abs(t.shape() - moved.shape()) < 1e-6 * max(1.0, abs(t.shape()))
+            vol = ideal_tet_volume(t)
+            for k, v in enumerate(t.vertices()):
+                # unitary; its row (-v.v, v.u) sends v to exactly 0: infinity
+                to_inf = MoebiusMap(v.u.conjugate(), v.v.conjugate(), -v.v, v.u)
+                moved = [to_inf.apply(w) for w in t.vertices()]
+                assert moved[k].v == 0.0
+                assert abs(ideal_tet_volume(IdealTetrahedron(*moved)) - vol) < 1e-8
+                g = random_map(rng)
+                back = [g.apply(w) for w in moved]
+                assert back[k].distance(g.apply(INFINITY)) < 1e-12
+                assert abs(ideal_tet_volume(IdealTetrahedron(*back)) - vol) < 1e-8
 
 
 class TestIdealTetVolume:
@@ -207,6 +254,14 @@ class TestIdealTetVolume:
         a = bp(1.25 + 0.5j)
         a_noise = bp(1.25 + 1e-12 + 0.5j)
         t = IdealTetrahedron(a, a_noise, bp(3.0), INFINITY)
+        assert ideal_tet_volume(t) == 0.0
+
+    def test_vertex_near_infinity_is_coincident(self):
+        """One metric: a point 1e8 out is within the guard of infinity."""
+        far = 1e8 * (1 + 1j)
+        t = IdealTetrahedron(bp(far), INFINITY, bp(0.0), bp(1j))
+        assert ideal_tet_volume(t) == 0.0
+        t = IdealTetrahedron(bp(0.0), bp(1.0), bp(1e8j), INFINITY)
         assert ideal_tet_volume(t) == 0.0
 
     def test_orientation_reversal_negates(self):
