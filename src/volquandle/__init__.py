@@ -55,7 +55,6 @@ from .invariant import (
     cocycle_residuals,
     cocycle_vol,
     coloring_from_doc,
-    enumerate_colorings,
     natural_coloring,
     phi,
     reference_volume,
@@ -102,7 +101,6 @@ __all__ = [
     "cocycle_vol",
     "coloring_from_doc",
     "crossing_image",
-    "enumerate_colorings",
     "enumerate_conjugates",
     "evaluate",
     "ideal_tet_volume",

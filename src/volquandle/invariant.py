@@ -243,12 +243,6 @@ def phi(
     return PhiResult(phi=total, volume=volume, k=k, residual=residual)
 
 
-@dataclass
-class ColoringEnumeration:
-    colorings: list[ShadowColoring]
-    truncated: bool
-
-
 def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0):
     """All valid colorings with arc and base-region colors from the pool.
 
@@ -269,20 +263,6 @@ def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0)
             yield ShadowColoring(arc_colors, region_colors)
 
 
-def enumerate_colorings(
-    d: Diagram, pool: list[QuandleElement], cap: int, base_region: int = 0
-) -> ColoringEnumeration:
-    """Collect up to `cap` colorings; flags truncation."""
-    out: list[ShadowColoring] = []
-    truncated = False
-    for s in iter_colorings(d, pool, base_region):
-        if len(out) >= cap:
-            truncated = True
-            break
-        out.append(s)
-    return ColoringEnumeration(out, truncated)
-
-
 def reference_volume(h: HolonomyRep, d: Diagram, w: QuandleElement) -> float:
     """Declared volume if any, else the natural coloring's state sum."""
     if h.volume is not None:
@@ -301,7 +281,12 @@ def reference_volume(h: HolonomyRep, d: Diagram, w: QuandleElement) -> float:
 
 @dataclass
 class KTally:
-    """Phi outcomes over one enumeration run."""
+    """Phi outcomes over one enumeration run.
+
+    `counts` and `total` count shadow colorings; `max_residual` is the
+    largest |Phi - kV| over the colorings Phi was evaluated on, one per
+    arc coloring (see `tally_colorings`).
+    """
 
     counts: dict[int, int]
     first_witness: dict[int, ShadowColoring]
@@ -326,25 +311,55 @@ def tally_colorings(
     w: QuandleElement | None = None,
     tol: float = CLASSIFICATION_TOL,
 ) -> KTally:
-    """Enumerate pool colorings at the given conjugation depth and classify."""
-    pool = enumerate_conjugates(h, depth)
+    """Classify the pool colorings at the given conjugation depth.
+
+    The colorings counted are those of `iter_colorings`, in its order and
+    up to `cap`: every arc coloring from the pool times every pool element
+    as the base-region color. Phi is evaluated once per arc coloring, with
+    base color `pool[0]`, and its k counts for all |pool| base colors
+    (fewer when the cap cuts the block). `truncated`, the counts and the
+    first witness of each k (the base-`pool[0]` coloring of the first arc
+    coloring with that k) are what a Phi for every coloring would give.
+
+    One Phi serves every base color because Phi is the volume of the
+    representation, read off an ideal triangulation whose vertices are
+    the fixed points of w and of the arc and region colors (Inoue-Kabaya,
+    "Quandle homology and complex volume", Geom. Dedicata 171, 2014,
+    with regions colored by points of CP^1 as in the shadow colorings of
+    Carter-Jelsovsky-Kamada-Langford-Saito, Trans. AMS 355, 2003). The
+    region rule moves every region's point by arc matrices, so the base
+    color only places one class of vertices, and by the five-term
+    relation of D the volume of the closed chain does not depend on where
+    they sit; the same argument frees Phi of w. Every reported k and
+    witness still rests on a lattice-checked Phi, and
+    `TestBasePointIndependence` in the tests evaluates every base color
+    at depth 1.
+    """
+    pool = ElementPool(enumerate_conjugates(h, depth)).elements
     if w is None:
         w = h.element(((h.generators[0], 1),))
     volume = reference_volume(h, d, w)
+    frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+    walks = d.region_steps_from(0)
     counts: dict[int, int] = {}
     witness: dict[int, ShadowColoring] = {}
     max_residual = 0.0
     total = 0
     truncated = False
-    for s in iter_colorings(d, pool):
+    for arc_colors in arc_colorings(frames, len(d.arcs), pool):
         if total >= cap:
             truncated = True
             break
-        total += 1
+        s = ShadowColoring(arc_colors, _extend_regions(walks, arc_colors, pool[0]))
         result = phi(d, s, w, volume, tol)
-        counts[result.k] = counts.get(result.k, 0) + 1
+        counted = min(len(pool), cap - total)
+        total += counted
+        counts[result.k] = counts.get(result.k, 0) + counted
         witness.setdefault(result.k, s)
         max_residual = max(max_residual, result.residual)
+        if counted < len(pool):
+            truncated = True
+            break
     return KTally(
         counts=counts,
         first_witness=witness,

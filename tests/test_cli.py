@@ -194,6 +194,25 @@ class TestSymmetry:
             },
         }
 
+    def test_depth_two_is_one_checked_document(self, capsys):
+        # what the benchmark's symmetry-d2 workload checks of its output
+        code, out, _ = run(
+            capsys, "symmetry", "--fixture", "fig8", "--depth", "2", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)  # raises unless stdout is exactly one document
+        counts = {"-1": 5168, "0": 4624, "1": 6664}
+        assert doc["standard"]["k_counts"] == counts
+        assert doc["reversed"]["k_counts"] == {str(-int(k)): v for k, v in counts.items()}
+        for side in ("standard", "reversed"):
+            assert doc[side]["total_colorings"] == 16456
+            assert doc[side]["truncated"] is False
+            assert isinstance(doc[side]["max_residual"], float)
+            assert doc[side]["max_residual"] < 1e-6
+        for flag in ("negatively_amphicheiral", "invertible", "positively_amphicheiral"):
+            assert doc[flag] == "detected"
+            assert sorted(doc["witnesses"][flag]) == ["0", "1", "2", "3"]
+
     def test_partial_mode_via_explicit_files(self, capsys, tmp_path):
         pd = tmp_path / "k.pd"
         pd.write_text(FIG8_PD)

@@ -1,14 +1,17 @@
+from itertools import islice
+
 import pytest
 
 from volquandle.errors import ColoringInvalid, OutOfLattice
-from volquandle.fixtures import FIG8_HOLONOMY, FIG8_VOLUME
+from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED, FIG8_VOLUME
 from volquandle.holquandle import ElementPool, enumerate_conjugates, load_holonomy
+from volquandle import invariant
 from volquandle.invariant import (
     boltzmann_weight,
     cocycle_residuals,
     cocycle_vol,
     coloring_from_doc,
-    enumerate_colorings,
+    iter_colorings,
     natural_coloring,
     phi,
     reference_volume,
@@ -145,51 +148,47 @@ class TestPhi:
         assert reference_volume(rep, fig8, w) == FIG8_VOLUME
 
 
+def first_colorings(d, pool, cap=10**5):
+    return list(islice(iter_colorings(d, pool), cap))
+
+
 class TestEnumeration:
     def test_all_emitted_colorings_valid(self, fig8, rep):
         pool = enumerate_conjugates(rep, 1)
-        run = enumerate_colorings(fig8, pool, cap=10**5)
-        assert not run.truncated
-        for s in run.colorings[::17]:
+        colorings = first_colorings(fig8, pool)
+        assert len(colorings) == 736
+        for s in colorings[::17]:
             assert validate_coloring(fig8, s) == []
 
     def test_natural_arc_coloring_appears(self, fig8, rep):
         pool = rep.generator_elements()
-        run = enumerate_colorings(fig8, pool, cap=10**5)
         target = natural_coloring(fig8, rep)
         assert any(
             all(s.arc_colors[i].equals(target.arc_colors[i]) for i in range(4))
-            for s in run.colorings
+            for s in first_colorings(fig8, pool)
         )
 
     def test_single_element_pool_gives_only_monochromatic(self, fig8, rep, w):
         # idempotence always admits the monochromatic coloring, and a
         # one-element pool admits nothing else; its state sum is 0
         pool = [rep.element("y^-1 x y")]
-        run = enumerate_colorings(fig8, pool, cap=10**5)
-        assert len(run.colorings) == 1
-        assert phi(fig8, run.colorings[0], w, FIG8_VOLUME).k == 0
+        colorings = first_colorings(fig8, pool)
+        assert len(colorings) == 1
+        assert phi(fig8, colorings[0], w, FIG8_VOLUME).k == 0
 
     def test_duplicate_in_pool_is_one_color(self, fig8, rep):
         x, y, z, w = rep.generator_elements()
 
         def words(pool):
-            run = enumerate_colorings(fig8, pool, cap=10**5)
-            return [s.to_json_dict() for s in run.colorings]
+            return [s.to_json_dict() for s in first_colorings(fig8, pool)]
 
         assert len(words([x, y, z, w])) == 24
         assert words([x, x, y, z, w]) == words([x, y, z, w])
 
-    def test_cap_truncates(self, fig8, rep):
-        pool = enumerate_conjugates(rep, 1)
-        run = enumerate_colorings(fig8, pool, cap=5)
-        assert run.truncated
-        assert len(run.colorings) == 5
-
     def test_deterministic(self, fig8, rep):
         pool = enumerate_conjugates(rep, 1)
-        a = enumerate_colorings(fig8, pool, cap=10**5).colorings
-        b = enumerate_colorings(fig8, pool, cap=10**5).colorings
+        a = first_colorings(fig8, pool)
+        b = first_colorings(fig8, pool)
         assert len(a) == len(b)
         for s, t in zip(a, b):
             assert all(s.arc_colors[i].equals(t.arc_colors[i]) for i in s.arc_colors)
@@ -226,3 +225,88 @@ class TestSymmetryReport:
         assert report.negatively_amphicheiral
         assert report.invertible
         assert report.positively_amphicheiral
+
+
+CAPS = (1, 15, 16, 17, 735, 736, 737)
+
+
+@pytest.fixture(scope="module", params=["rep", "rep_reversed"])
+def depth_one_stream(request, fig8):
+    """One side's representation and its depth-1 colorings with their Phi."""
+    h = request.getfixturevalue(request.param)
+    w = h.element(((h.generators[0], 1),))
+    volume = reference_volume(h, fig8, w)
+    pool = enumerate_conjugates(h, 1)
+    stream = [(s, phi(fig8, s, w, volume)) for s in iter_colorings(fig8, pool)]
+    return h, len(ElementPool(pool)), stream
+
+
+def streaming_tally(stream, cap):
+    """The per-shadow-coloring loop: counts, witnesses, total, truncated."""
+    counts, witness, total, truncated = {}, {}, 0, False
+    for s, result in stream:
+        if total >= cap:
+            truncated = True
+            break
+        total += 1
+        counts[result.k] = counts.get(result.k, 0) + 1
+        witness.setdefault(result.k, s)
+    return counts, witness, total, truncated
+
+
+class TestTallyOracle:
+    """`tally_colorings` reports what a Phi for every coloring reports."""
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_matches_streaming_oracle(self, fig8, depth_one_stream, cap):
+        h, pool_size, stream = depth_one_stream
+        assert (pool_size, len(stream)) == (16, 736)
+        counts, witness, total, truncated = streaming_tally(stream, cap)
+        tally = tally_colorings(fig8, h, depth=1, cap=cap)
+        assert tally.counts == counts
+        assert tally.total == total == min(cap, 736)
+        assert tally.truncated is truncated is (cap < 736)
+        assert {k: s.to_json_dict() for k, s in tally.first_witness.items()} == {
+            k: s.to_json_dict() for k, s in witness.items()
+        }
+        # the residual is that of the evaluated (base pool[0]) colorings
+        evaluated = [r.residual for _, r in stream[:total:pool_size]]
+        assert tally.max_residual == max(evaluated)
+
+    def test_one_phi_per_arc_coloring(self, fig8, depth_one_stream, monkeypatch):
+        h, _, _ = depth_one_stream
+        calls = []
+
+        def counted_phi(*args, **kwargs):
+            calls.append(args)
+            return phi(*args, **kwargs)
+
+        monkeypatch.setattr(invariant, "phi", counted_phi)
+        tally = tally_colorings(fig8, h, depth=1, cap=10**5)
+        assert tally.total == 736
+        assert len(calls) == 46
+
+
+class TestBasePointIndependence:
+    """Every base-region color gives the k of base color pool[0]."""
+
+    @pytest.mark.parametrize(
+        "holonomy", [FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED], ids=["std", "rev"]
+    )
+    @pytest.mark.parametrize("diagram", ["fig8", "fig8_r2"])
+    def test_every_base_color_gives_the_same_k(self, request, diagram, holonomy):
+        d = request.getfixturevalue(diagram)
+        h = load_holonomy(holonomy, d)
+        w = h.element(((h.generators[0], 1),))
+        volume = reference_volume(h, d, w)
+        pool = ElementPool(enumerate_conjugates(h, 1)).elements
+        stream = iter_colorings(d, pool)
+        seen = set()
+        while block := list(islice(stream, len(pool))):
+            # one block per arc coloring, base colors in pool order
+            assert len(block) == len(pool)
+            assert all(s.arc_colors is block[0].arc_colors for s in block)
+            ks = [phi(d, s, w, volume).k for s in block]  # each lattice-checked
+            assert ks == [ks[0]] * len(pool)
+            seen.add(ks[0])
+        assert seen == {-1, 0, 1}
