@@ -40,11 +40,10 @@ from .holquandle import (
 from .hypgeom import (
     INFINITY,
     BoundaryPoint,
-    IdealTetrahedron,
     MoebiusMap,
     ideal_tet_volume,
     is_parabolic,
-    parabolic_fixed_point,
+    parabolic_vector,
 )
 from .invariant import (
     KTally,
@@ -79,7 +78,6 @@ __all__ = [
     "FIXTURES",
     "GroupWord",
     "HolonomyRep",
-    "IdealTetrahedron",
     "INFINITY",
     "InconsistentExtension",
     "InputError",
@@ -108,7 +106,7 @@ __all__ = [
     "li2",
     "load_holonomy",
     "natural_coloring",
-    "parabolic_fixed_point",
+    "parabolic_vector",
     "parse_pd",
     "phi",
     "quandle_op",

@@ -193,9 +193,6 @@ class Diagram:
     def region_right(self, edge: int) -> int:
         return self._region_right[edge]
 
-    def corner_region(self, crossing: int, corner: int) -> int:
-        return self._corner_region[crossing][corner % 4]
-
     def signs(self) -> tuple[int, ...]:
         return tuple(cr.sign for cr in self.crossings)
 

@@ -1,16 +1,21 @@
 """The knot quandle realized through a holonomy representation.
 
 An element is a group word in the meridian generators together with the
-boundary fixed point of the parabolic map the word evaluates to. Identity
-is decided by the fixed point's cell on the Riemann sphere, confirmed by
-comparing the words' matrices (up to sign, tolerance 1e-9), never by the
-words themselves. The quandle operation is conjugation: a * b = b^-1 a b.
+vector v of the parabolic map +-(I + v v^T J) the word evaluates to,
+J = [[0, 1], [-1, 0]] and v unique up to sign; its fixed point is [v].
+This is the parabolic quandle of Inoue-Kabaya ("Quandle homology and
+complex volume", Geom. Dedicata 171, 2014). The quandle operation is
+conjugation, a * b = b^-1 a b, and on vectors it is a - [b, a] b with
+[b, a] = b0 a1 - b1 a0: three complex products, with no matrix and no
+word. Identity is +-v equality under a relative tolerance, found by the
+fixed point's cell on the Riemann sphere, never by the words.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     BadMatrix,
@@ -18,23 +23,40 @@ from .errors import (
     RelationViolated,
     UnknownGenerator,
 )
-from .hypgeom import BoundaryPoint, MoebiusMap, is_parabolic, parabolic_fixed_point
+from .hypgeom import (
+    BoundaryPoint,
+    MoebiusMap,
+    is_parabolic,
+    parabolic_map,
+    parabolic_vector,
+)
 
 Letter = tuple[str, int]
 GroupWord = tuple[Letter, ...]
+Vector = tuple[complex, complex]
 
+# Relative tolerance of +-v equality: two vectors are one element when
+# their difference, or their sum, is shorter than MATRIX_TOL times the
+# longer vector (Euclidean norms). Over the fig8 pools at depths 3-5 and
+# the arc searches at depths 3-4, both orientations, every match the pool
+# accepted differed by at most 9.9e-14 relative, no candidate was
+# rejected, and distinct elements differ by at least 4.1e-2.
 MATRIX_TOL = 1e-9
 # Side of the cells on the unit Riemann sphere that ElementPool keys
-# fixed points by. An element is filed under every cell within chordal
-# distance MATRIX_TOL of its fixed point, so `find` meets any equal
-# element in the one cell its own fixed point falls in. On the fig8
-# pools (depths 3-5, both orientations) equal elements' fixed points
-# differ by at most 2.3e-14 and distinct ones by at least 2.5e-3, both
-# chordal: a cell a thousand times the slack files almost every element
-# once and never holds two. Cells are centred on multiples of the side,
-# so fixed points with short rational coordinates (common: the fig8 ones
-# lie in Q(sqrt(-3))) sit at a cell's centre, not on its border.
+# fixed points by. Vectors equal within MATRIX_TOL have fixed points
+# within 4 * MATRIX_TOL chordal (the chord of two unit vectors' Hopf
+# images is at most twice their distance, and normalizing at most
+# doubles a relative distance), and an element is filed under every
+# cell within that slack of its fixed point, so `find` meets any equal
+# element in the one cell its own fixed point falls in. On the same fig8
+# runs equal elements' fixed points differ by at most 2.4e-14 and
+# distinct ones by at least 2.5e-3, both chordal: a cell far wider than
+# the slack files almost every element once and never holds two. Cells
+# are centred on multiples of the side, so fixed points with short
+# rational coordinates (common: the fig8 ones lie in Q(sqrt(-3))) sit at
+# a cell's centre, not on its border.
 FIXED_POINT_CELL = 1e-6
+_CELL_SLACK = 4.0 * MATRIX_TOL
 
 
 def reduce_word(letters) -> GroupWord:
@@ -69,29 +91,34 @@ def word_to_text(word: GroupWord) -> str:
     return " ".join(name if exp == 1 else f"{name}^-1" for name, exp in word)
 
 
+def vectors_equal(u: Vector, v: Vector) -> bool:
+    """u = +-v: u - v or u + v is shorter than MATRIX_TOL times the longer."""
+    (u0, u1), (v0, v1) = u, v
+    plus = abs(u0 - v0) ** 2 + abs(u1 - v1) ** 2
+    minus = abs(u0 + v0) ** 2 + abs(u1 + v1) ** 2
+    longer = max(abs(u0) ** 2 + abs(u1) ** 2, abs(v0) ** 2 + abs(v1) ** 2)
+    return min(plus, minus) < MATRIX_TOL * MATRIX_TOL * longer
+
+
 @dataclass(frozen=True)
 class QuandleElement:
-    """A meridian word and the boundary fixed point of its matrix."""
+    """A meridian word and the vector v of its parabolic map +-(I + v v^T J)."""
 
     word: GroupWord
-    fixed_point: BoundaryPoint
-    rep: "HolonomyRep" = field(compare=False, repr=False)
-    _matrix: MoebiusMap | None = field(default=None, compare=False, repr=False)
+    vector: Vector
+
+    @cached_property
+    def fixed_point(self) -> BoundaryPoint:
+        """[v], the boundary fixed point."""
+        return BoundaryPoint(*self.vector)
 
     @property
     def matrix(self) -> MoebiusMap:
-        """The word evaluated in the representation; computed once, on demand.
-
-        Always evaluated from the generator matrices, never by conjugating
-        already-conjugated matrices: each chained conjugation multiplies the
-        error by |b|^2.
-        """
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix", evaluate(self.rep, self.word))
-        return self._matrix
+        """P_v = I + v v^T J, built from v; the word is not evaluated."""
+        return parabolic_map(self.vector)
 
     def equals(self, other: "QuandleElement") -> bool:
-        return self.matrix.eq_up_to_sign(other.matrix, MATRIX_TOL)
+        return vectors_equal(self.vector, other.vector)
 
     def __repr__(self):
         return f"QuandleElement({word_to_text(self.word)!r})"
@@ -123,7 +150,7 @@ class HolonomyRep:
             raise NotParabolic(
                 f"word {word_to_text(word)!r} does not evaluate to a parabolic map"
             )
-        return QuandleElement(word, parabolic_fixed_point(m), self, m)
+        return QuandleElement(word, parabolic_vector(m))
 
     def generator_elements(self) -> list[QuandleElement]:
         return [self.element(((name, 1),)) for name in self.generators]
@@ -138,47 +165,56 @@ def evaluate(h: HolonomyRep, word: GroupWord) -> MoebiusMap:
     return m
 
 
-def quandle_op(a: QuandleElement, b: QuandleElement) -> QuandleElement:
-    """a * b = b^-1 a b; its fixed point is b^-1 applied to a's."""
-    word = reduce_word(invert_word(b.word) + a.word + b.word)
-    return QuandleElement(word, b.matrix.inverse().apply(a.fixed_point), a.rep)
-
-
-def quandle_op_inv(a: QuandleElement, b: QuandleElement) -> QuandleElement:
-    """The unique c with quandle_op(c, b) = a; c = b a b^-1."""
-    word = reduce_word(b.word + a.word + invert_word(b.word))
-    return QuandleElement(word, b.matrix.apply(a.fixed_point), a.rep)
-
-
-def crossing_image(
-    under: QuandleElement, over: QuandleElement, sign: int
-) -> QuandleElement:
-    """The crossing rule: the color of an under-arc once it passes `over`.
+def crossing_image(under: Vector, over: Vector, sign: int) -> Vector:
+    """The crossing rule on vectors: under - sign [over, under] over.
 
     The outgoing under-arc is `under * over` at a positive crossing and
     `under *^-1 over` at a negative one. With `-sign` the rule runs
     backwards, from the outgoing under-arc to the incoming one; the region
-    walk uses the same rule with the step direction as the sign.
+    walk uses the same rule with the step direction as the sign. `sign`
+    +1 is b^-1 a b, whose vector is P_b^-1 v_a = a - [b, a] b, and -1 is
+    b a b^-1, with vector P_b v_a = a + [b, a] b.
     """
-    return quandle_op(under, over) if sign > 0 else quandle_op_inv(under, over)
+    a0, a1 = under
+    b0, b1 = over
+    k = sign * (b0 * a1 - b1 * a0)
+    return (a0 - k * b0, a1 - k * b1)
 
 
-def _sphere_point(p: BoundaryPoint) -> tuple[float, float, float]:
-    """Hopf image on the unit sphere; infinity (1, 0) is the pole (0, 0, 1)."""
-    w = p.u * p.v.conjugate()
-    return (2.0 * w.real, 2.0 * w.imag, abs(p.u) ** 2 - abs(p.v) ** 2)
+def quandle_op(a: QuandleElement, b: QuandleElement) -> QuandleElement:
+    """a * b = b^-1 a b: `crossing_image` with sign +1, and its word."""
+    word = reduce_word(invert_word(b.word) + a.word + b.word)
+    return QuandleElement(word, crossing_image(a.vector, b.vector, +1))
 
 
-def _fixed_point_cell(p: BoundaryPoint) -> tuple[int, int, int]:
-    return tuple(round(c / FIXED_POINT_CELL) for c in _sphere_point(p))
+def quandle_op_inv(a: QuandleElement, b: QuandleElement) -> QuandleElement:
+    """The unique c with quandle_op(c, b) = a; c = b a b^-1, sign -1."""
+    word = reduce_word(b.word + a.word + invert_word(b.word))
+    return QuandleElement(word, crossing_image(a.vector, b.vector, -1))
 
 
-def _fixed_point_cells(p: BoundaryPoint) -> set[tuple[int, int, int]]:
-    """Every cell that a point within MATRIX_TOL of p can fall in."""
+def _sphere_point(v: Vector) -> tuple[float, float, float]:
+    """Hopf image of [v] on the unit sphere; infinity (1, 0) is the pole (0, 0, 1)."""
+    a, b = v
+    aa = a.real * a.real + a.imag * a.imag
+    bb = b.real * b.real + b.imag * b.imag
+    n = aa + bb
+    w = 2.0 * a * b.conjugate()
+    return (w.real / n, w.imag / n, (aa - bb) / n)
+
+
+def _fixed_point_cell(v: Vector) -> tuple[int, int, int]:
+    x, y, z = _sphere_point(v)
+    return (round(x / FIXED_POINT_CELL), round(y / FIXED_POINT_CELL),
+            round(z / FIXED_POINT_CELL))
+
+
+def _fixed_point_cells(v: Vector) -> set[tuple[int, int, int]]:
+    """Every cell that the fixed point of a vector equal to v can fall in."""
     spans = [
-        {round((c - MATRIX_TOL) / FIXED_POINT_CELL),
-         round((c + MATRIX_TOL) / FIXED_POINT_CELL)}
-        for c in _sphere_point(p)
+        {round((c - _CELL_SLACK) / FIXED_POINT_CELL),
+         round((c + _CELL_SLACK) / FIXED_POINT_CELL)}
+        for c in _sphere_point(v)
     ]
     return set(itertools.product(*spans))
 
@@ -193,17 +229,20 @@ class ElementPool:
             self.add(e)
 
     def add(self, e: QuandleElement) -> bool:
-        if self.find(e) is not None:
+        if self.find(e.vector) is not None:
             return False
-        for cell in _fixed_point_cells(e.fixed_point):
+        for cell in _fixed_point_cells(e.vector):
             self._cells.setdefault(cell, []).append(len(self.elements))
         self.elements.append(e)
         return True
 
-    def find(self, e: QuandleElement) -> int | None:
-        """Index of an equal element, or None. Cell lookup + matrix confirm."""
-        for idx in self._cells.get(_fixed_point_cell(e.fixed_point), ()):
-            if self.elements[idx].equals(e):
+    def find(self, v: Vector) -> int | None:
+        """Index of the element whose vector is +-v, or None.
+
+        Cell lookup, then +-v confirmation.
+        """
+        for idx in self._cells.get(_fixed_point_cell(v), ()):
+            if vectors_equal(self.elements[idx].vector, v):
                 return idx
         return None
 
@@ -215,32 +254,47 @@ class ElementPool:
 
 
 def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
-    """All g^-1 x g with x a generator, |g| <= depth; deduplicated, ordered."""
+    """All g^-1 x g with x a generator, |g| <= depth; deduplicated, ordered.
+
+    Words g come shortest first and, within a length, in lexicographic
+    order of the letters x, x^-1, y, y^-1, ... (generator order); every g
+    is tried with the generators in order. Vectors are chained: the
+    vector of (g l)^-1 x (g l) is M_l^-1 applied to that of g^-1 x g, one
+    generator matrix times a vector per candidate, never a product of
+    already conjugated matrices. A candidate's word is built only when its
+    vector is new to the pool.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    letters: list[Letter] = []
-    for name in h.generators:
-        letters.append((name, 1))
-        letters.append((name, -1))
-    words: list[GroupWord] = [()]
-    frontier: list[GroupWord] = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                extended = reduce_word(w + (letter,))
-                if len(extended) == len(w) + 1:
-                    nxt.append(extended)
-        words.extend(nxt)
-        frontier = nxt
-    pool = ElementPool()
     base = h.generator_elements()
-    for g in words:
-        ginv = invert_word(g)
-        for x in base:
-            word = reduce_word(ginv + x.word + g)
-            m = evaluate(h, word)
-            pool.add(QuandleElement(word, parabolic_fixed_point(m), h, m))
+    pullbacks = []  # (letter l, M_l^-1)
+    for name in h.generators:
+        m = h.matrix(name)
+        pullbacks.append(((name, 1), m.inverse()))
+        pullbacks.append(((name, -1), m))
+
+    def extend(g: GroupWord, vectors: list[Vector], length: int):
+        """The reduced words g w with |w| = length, and their vectors.
+
+        Depth first, so only one path of vectors is held at a time.
+        """
+        if length == 0:
+            yield g, vectors
+            return
+        for letter, m in pullbacks:
+            if not g or g[-1] != (letter[0], -letter[1]):
+                moved = [
+                    (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1) for v0, v1 in vectors
+                ]
+                yield from extend(g + (letter,), moved, length - 1)
+
+    pool = ElementPool()
+    for length in range(depth + 1):
+        for g, vectors in extend((), [x.vector for x in base], length):
+            for x, v in zip(base, vectors):
+                if pool.find(v) is None:
+                    word = reduce_word(invert_word(g) + x.word + g)
+                    pool.add(QuandleElement(word, v))
     return pool.elements
 
 
@@ -300,12 +354,14 @@ def arc_colorings(frames, n_arcs: int, pool):
     Colors are drawn from `ElementPool(pool).elements`, so a duplicate in
     `pool` is one color. The search branches only on the seed arcs of
     `forcing_schedule`, in schedule order and over colors in pool order,
-    and replays each level's steps; colorings come out in lexicographic
+    and replays each level's steps on the pool's vectors and indices,
+    building no element and no word; colorings come out in lexicographic
     pool order of their seed colors. Yields dicts arc id -> pool element,
     keyed in schedule order.
     """
     index = ElementPool(pool)
     elements = index.elements
+    vectors = [e.vector for e in elements]
     levels = forcing_schedule(frames, n_arcs)
     order = [  # seeds and forced arcs, in the order the search colors them
         a for seed, steps in levels for a in (seed, *(s[2] for s in steps if not s[4]))
@@ -315,7 +371,7 @@ def arc_colorings(frames, n_arcs: int, pool):
     def replay(steps) -> bool:
         for source, over, target, sign, check in steps:
             at = index.find(
-                crossing_image(elements[color[source]], elements[color[over]], sign)
+                crossing_image(vectors[color[source]], vectors[color[over]], sign)
             )
             if at is None or (check and at != color[target]):
                 return False

@@ -5,9 +5,10 @@ phase: z in C is (z, 1) scaled to unit length and infinity is (1, 0), so
 nothing branches on infinity. The one closeness test is the bracket
 |[p, q]| = |p.u q.v - p.v q.u|, half the chordal distance on the unit
 Riemann sphere. Orientation-preserving isometries act as Moebius maps
-(PSL(2, C), so all matrix comparisons are up to a global sign). Signed
-ideal-tetrahedron volume is the Bloch-Wigner function of the vertex
-cross-ratio, a ratio of brackets.
+(PSL(2, C), so all matrix comparisons are up to a global sign); a
+parabolic one is +-(I + v v^T J) for a vector v in C^2, unique up to
+sign, and fixes the point [v]. Signed ideal-tetrahedron volume is the
+Bloch-Wigner function of the vertex cross-ratio, a ratio of brackets.
 """
 
 from __future__ import annotations
@@ -153,48 +154,51 @@ def is_parabolic(m: MoebiusMap) -> bool:
     return not m.is_identity_up_to_sign()
 
 
-def parabolic_fixed_point(m: MoebiusMap) -> BoundaryPoint:
-    """The unique boundary fixed point of a parabolic map.
+def parabolic_map(v: tuple[complex, complex]) -> MoebiusMap:
+    """P_v = I + v v^T J = [[1 - v0 v1, v0^2], [-v1^2, 1 + v0 v1]].
 
-    It spans the image of the nilpotent m - (tr/2) I, whose columns are
-    parallel; the longer one is taken, so the point is well conditioned.
+    Here J = [[0, 1], [-1, 0]]. Every parabolic map is +-P_v for a vector
+    v, unique up to sign, and its fixed point is [v] (v^T J v = 0).
+    Conjugation acts on v linearly: M^-1 P_v M = P_(M^-1 v).
+    """
+    v0, v1 = v
+    return MoebiusMap(1.0 - v0 * v1, v0 * v0, -v1 * v1, 1.0 + v0 * v1)
+
+
+def parabolic_vector(m: MoebiusMap) -> tuple[complex, complex]:
+    """The vector v, up to sign, with m = +-P_v (see `parabolic_map`).
+
+    Of the trace +2 representative of +-m, the entry b is v0^2 and -c is
+    v1^2; the larger is square-rooted, so v is well conditioned, and the
+    other coordinate follows from d - a = 2 v0 v1.
     """
     if not is_parabolic(m):
         raise NotParabolic(f"map with trace {m.trace()!r} is not parabolic")
-    if abs(m.c) >= abs(m.b):
-        return BoundaryPoint(m.a - m.d, 2.0 * m.c)
-    return BoundaryPoint(2.0 * m.b, m.d - m.a)
+    a, b, c, d = m.entries()
+    if m.trace().real < 0.0:
+        a, b, c, d = -a, -b, -c, -d
+    if abs(b) >= abs(c):
+        v0 = cmath.sqrt(b)
+        return (v0, (d - a) / (2.0 * v0))
+    v1 = cmath.sqrt(-c)
+    return ((d - a) / (2.0 * v1), v1)
 
 
-@dataclass(frozen=True)
-class IdealTetrahedron:
-    """Ordered ideal vertices; order carries the orientation."""
-
-    v0: BoundaryPoint
-    v1: BoundaryPoint
-    v2: BoundaryPoint
-    v3: BoundaryPoint
-
-    def vertices(self):
-        return (self.v0, self.v1, self.v2, self.v3)
-
-
-def ideal_tet_volume(t: IdealTetrahedron) -> float:
+def ideal_tet_volume(
+    v0: BoundaryPoint, v1: BoundaryPoint, v2: BoundaryPoint, v3: BoundaryPoint
+) -> float:
     """Signed volume D(z), z = [v0,v3][v1,v2] / ([v0,v2][v1,v3]) the cross-ratio.
 
-    Zero for degenerate (real cross-ratio) tetrahedra, and zero when two
+    The vertices are ordered, and the order carries the orientation. Zero
+    for degenerate (real cross-ratio) tetrahedra, and zero when two
     vertices have a bracket below `COINCIDENT_VERTEX_TOL`.
     """
-    u0, v0 = t.v0.u, t.v0.v
-    u1, v1 = t.v1.u, t.v1.v
-    u2, v2 = t.v2.u, t.v2.v
-    u3, v3 = t.v3.u, t.v3.v
-    b01 = u0 * v1 - v0 * u1
-    b02 = u0 * v2 - v0 * u2
-    b03 = u0 * v3 - v0 * u3
-    b12 = u1 * v2 - v1 * u2
-    b13 = u1 * v3 - v1 * u3
-    b23 = u2 * v3 - v2 * u3
+    b01 = v0.u * v1.v - v0.v * v1.u
+    b02 = v0.u * v2.v - v0.v * v2.u
+    b03 = v0.u * v3.v - v0.v * v3.u
+    b12 = v1.u * v2.v - v1.v * v2.u
+    b13 = v1.u * v3.v - v1.v * v3.u
+    b23 = v2.u * v3.v - v2.v * v3.u
     nearest = min(abs(b01), abs(b02), abs(b03), abs(b12), abs(b13), abs(b23))
     if nearest < COINCIDENT_VERTEX_TOL:
         return 0.0

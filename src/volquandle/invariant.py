@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .errors import ColoringInvalid, InconsistentExtension, OutOfLattice
-from .hypgeom import IdealTetrahedron, ideal_tet_volume
+from .hypgeom import BoundaryPoint, ideal_tet_volume
 from .holquandle import (
     ElementPool,
     HolonomyRep,
@@ -33,6 +33,8 @@ from .holquandle import (
     crossing_image,
     enumerate_conjugates,
     quandle_op,
+    quandle_op_inv,
+    vectors_equal,
     word_to_text,
 )
 
@@ -80,24 +82,22 @@ def cocycle_vol(
     """Signed volume of the four-tetrahedron chain attached to (z, x, y).
 
     Tetrahedra (by fixed points): (w, z, x, y), (w, z*x, y, x),
-    (w, (z*x)*y, x*y, y), (w, (z*y), y, x*y).
+    (w, (z*x)*y, x*y, y), (w, (z*y), y, x*y). The operated points are
+    the vectors of `crossing_image`; no matrix is formed.
     """
-    xinv = x.matrix.inverse()
-    yinv = y.matrix.inverse()
+    vz, vx, vy = z.vector, x.vector, y.vector
+    zx = crossing_image(vz, vx, +1)
     fw, fz, fx, fy = (e.fixed_point for e in (w, z, x, y))
-    f_zx = xinv.apply(fz)
-    f_zxy = yinv.apply(f_zx)
-    f_xy = yinv.apply(fx)
-    f_zy = yinv.apply(fz)
-    total = 0.0
-    for tet in (
-        IdealTetrahedron(fw, fz, fx, fy),
-        IdealTetrahedron(fw, f_zx, fy, fx),
-        IdealTetrahedron(fw, f_zxy, f_xy, fy),
-        IdealTetrahedron(fw, f_zy, fy, f_xy),
-    ):
-        total += ideal_tet_volume(tet)
-    return total
+    f_zx = BoundaryPoint(*zx)
+    f_zxy = BoundaryPoint(*crossing_image(zx, vy, +1))
+    f_xy = BoundaryPoint(*crossing_image(vx, vy, +1))
+    f_zy = BoundaryPoint(*crossing_image(vz, vy, +1))
+    return (
+        ideal_tet_volume(fw, fz, fx, fy)
+        + ideal_tet_volume(fw, f_zx, fy, fx)
+        + ideal_tet_volume(fw, f_zxy, f_xy, fy)
+        + ideal_tet_volume(fw, f_zy, fy, f_xy)
+    )
 
 
 def cocycle_residuals(
@@ -140,16 +140,17 @@ def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
         return violations
     for ci in range(d.n_crossings):
         f = d.crossing_frame(ci)
-        cin = s.arc_colors[f.under_in_arc]
-        cout = s.arc_colors[f.under_out_arc]
-        if not crossing_image(cin, s.arc_colors[f.over_arc], f.sign).equals(cout):
+        cin = s.arc_colors[f.under_in_arc].vector
+        over = s.arc_colors[f.over_arc].vector
+        cout = s.arc_colors[f.under_out_arc].vector
+        if not vectors_equal(crossing_image(cin, over, f.sign), cout):
             violations.append(f"crossing {ci}: under-arc colors break the crossing rule")
     for e in d.edges:
         # right side of the arc to its left (normal) side: a +1 step
-        arc = s.arc_colors[d.arc_of_edge(e)]
-        near = s.region_colors[d.region_right(e)]
-        far = s.region_colors[d.region_left(e)]
-        if not crossing_image(near, arc, +1).equals(far):
+        arc = s.arc_colors[d.arc_of_edge(e)].vector
+        near = s.region_colors[d.region_right(e)].vector
+        far = s.region_colors[d.region_left(e)].vector
+        if not vectors_equal(crossing_image(near, arc, +1), far):
             violations.append(f"edge {e}: region colors break the region rule")
     return violations
 
@@ -162,14 +163,16 @@ def _extend_regions(
     """Color every region by walking from the base region's `base_color`.
 
     `walks` is `Diagram.region_steps_from(base_region)`, computed once by
-    the caller rather than once per coloring. Each step applies
-    `crossing_image` with the step direction as the sign.
+    the caller rather than once per coloring. Each step applies the
+    crossing rule with the step direction as the sign: `quandle_op` for
+    +1, `quandle_op_inv` for -1, so every region color carries its word.
     """
     colors = {}
     for region, steps in walks:
         color = base_color
         for arc, direction in steps:
-            color = crossing_image(color, arc_colors[arc], direction)
+            op = quandle_op if direction > 0 else quandle_op_inv
+            color = op(color, arc_colors[arc])
         colors[region] = color
     return colors
 

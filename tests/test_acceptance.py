@@ -17,10 +17,9 @@ from volquandle.holquandle import enumerate_conjugates, load_holonomy, quandle_o
 from volquandle.hypgeom import (
     INFINITY,
     BoundaryPoint,
-    IdealTetrahedron,
     MoebiusMap,
     ideal_tet_volume,
-    parabolic_fixed_point,
+    parabolic_vector,
 )
 from volquandle.invariant import (
     cocycle_residuals,
@@ -41,8 +40,8 @@ def bp(value):
     return BoundaryPoint.finite(value)
 
 
-def algvol(v0, v1, v2, v3):
-    return ideal_tet_volume(IdealTetrahedron(v0, v1, v2, v3))
+def fixed_point(m):
+    return BoundaryPoint(*parabolic_vector(m))
 
 
 def test_criterion_01_dilogarithm():
@@ -64,8 +63,9 @@ def test_criterion_01_dilogarithm():
 def test_criterion_02_example_1():
     up = complex(0.5, _S / 2.0)       # (1 + sqrt(-3))/2
     um = complex(-0.5, _S / 2.0)      # (-1 + sqrt(-3))/2
-    total = algvol(bp(0.0), bp(um), INFINITY, bp(up)) - algvol(
-        bp(0.0), INFINITY, bp(up), bp(1.0)
+    total = (
+        ideal_tet_volume(bp(0.0), bp(um), INFINITY, bp(up))
+        - ideal_tet_volume(bp(0.0), INFINITY, bp(up), bp(1.0))
     )
     assert abs(total - V_REF) < 1e-9
     assert abs(total - 2.0 * bloch_wigner(OMEGA)) < 1e-12
@@ -77,16 +77,19 @@ def test_criterion_03_examples_2_to_4():
     um = complex(-0.5, _S / 2.0)      # (-1 + sqrt(-3))/2
     down = complex(0.5, -_S / 2.0)    # (1 - sqrt(-3))/2
     third = complex(0.0, _S / 3.0)    # sqrt(-3)/3
-    ex2 = algvol(bp(0.0), bp(-1.0), bp(um), INFINITY) - algvol(
-        bp(0.0), bp(um), INFINITY, bp(up)
+    ex2 = (
+        ideal_tet_volume(bp(0.0), bp(-1.0), bp(um), INFINITY)
+        - ideal_tet_volume(bp(0.0), bp(um), INFINITY, bp(up))
     )
     assert abs(ex2 + V_REF) < 1e-9
-    ex3 = algvol(bp(0.0), bp(1.0), bp(up), INFINITY) - algvol(
-        bp(0.0), bp(down), INFINITY, bp(1.0)
+    ex3 = (
+        ideal_tet_volume(bp(0.0), bp(1.0), bp(up), INFINITY)
+        - ideal_tet_volume(bp(0.0), bp(down), INFINITY, bp(1.0))
     )
     assert abs(ex3 - V_REF) < 1e-9
-    ex4 = algvol(bp(0.0), bp(up), INFINITY, bp(um)) - algvol(
-        bp(0.0), bp(third), bp(um), bp(up)
+    ex4 = (
+        ideal_tet_volume(bp(0.0), bp(up), INFINITY, bp(um))
+        - ideal_tet_volume(bp(0.0), bp(third), bp(um), bp(up))
     )
     assert abs(ex4 + V_REF) < 1e-9
     print("CRITERION 3: PASS (Examples 2-4 = -V, +V, -V)")
@@ -176,17 +179,17 @@ def test_criterion_10_geometry_properties(rep):
                   for _ in range(4)]
             if all(vs[i].distance(vs[j]) >= 1e-3
                    for i in range(4) for j in range(i + 1, 4)):
-                return IdealTetrahedron(*vs)
+                return vs
 
     # Moebius invariance
     for _ in range(1000):
         t = random_tet()
         g = random_map()
-        moved = IdealTetrahedron(*(g.apply(v) for v in t.vertices()))
-        assert abs(ideal_tet_volume(t) - ideal_tet_volume(moved)) < 1e-8
+        moved = [g.apply(v) for v in t]
+        assert abs(ideal_tet_volume(*t) - ideal_tet_volume(*moved)) < 1e-8
     # permutation parity on all 24 orderings
     t = random_tet()
-    vol = ideal_tet_volume(t)
+    vol = ideal_tet_volume(*t)
     for perm in itertools.permutations(range(4)):
         parity = 1
         p = list(perm)
@@ -195,18 +198,18 @@ def test_criterion_10_geometry_properties(rep):
                 j = p[i]
                 p[i], p[j] = p[j], p[i]
                 parity = -parity
-        permuted = IdealTetrahedron(*(t.vertices()[i] for i in perm))
-        assert abs(ideal_tet_volume(permuted) - parity * vol) < 1e-9
+        permuted = [t[i] for i in perm]
+        assert abs(ideal_tet_volume(*permuted) - parity * vol) < 1e-9
     # degenerate-input zeroing
     a, b, c = bp(0.0), bp(1.0), bp(2 + 3j)
-    assert ideal_tet_volume(IdealTetrahedron(a, a, b, c)) == 0.0
-    assert ideal_tet_volume(IdealTetrahedron(bp(0.0), bp(1.0), bp(3.0), bp(7.0))) == 0.0
+    assert ideal_tet_volume(a, a, b, c) == 0.0
+    assert ideal_tet_volume(bp(0.0), bp(1.0), bp(3.0), bp(7.0)) == 0.0
     # fixed-point equivariance
     base = rep.element("y").matrix
     for _ in range(200):
         g = random_map()
         conj = g.inverse().compose(base).compose(g)
-        p = parabolic_fixed_point(conj)
-        expected = g.inverse().apply(parabolic_fixed_point(base))
+        p = fixed_point(conj)
+        expected = g.inverse().apply(fixed_point(base))
         assert p.distance(expected) < 1e-8
     print("CRITERION 10: PASS (geometry property suite)")

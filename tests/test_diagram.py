@@ -85,7 +85,7 @@ class TestStructure:
 
     def test_corner_regions_are_valid(self, fig8):
         for ci in range(fig8.n_crossings):
-            corners = {fig8.corner_region(ci, k) for k in range(4)}
+            corners = set(fig8._corner_region[ci])
             assert all(0 <= r < fig8.n_regions for r in corners)
             # four corners of a crossing touch four distinct regions
             assert len(corners) == 4

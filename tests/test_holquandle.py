@@ -1,6 +1,8 @@
 import copy
 import functools
+import hashlib
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ from volquandle.errors import (
     UnknownGenerator,
 )
 from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED
-from volquandle.hypgeom import INFINITY, BoundaryPoint, MoebiusMap
+from volquandle.hypgeom import MoebiusMap
 from volquandle.holquandle import (
     FIXED_POINT_CELL,
     MATRIX_TOL,
@@ -32,6 +34,7 @@ from volquandle.holquandle import (
     quandle_op,
     quandle_op_inv,
     reduce_word,
+    vectors_equal,
     word_from_text,
     word_to_text,
 )
@@ -114,6 +117,47 @@ class TestQuandleAxioms:
                 assert quandle_op(a, b).fixed_point.distance(expected) < 1e-8
 
 
+# sha256 of the fig8_r2 depth-3 arc colorings as "arc:word" lines, in
+# search order, taken from the word-based search the vector one replaced
+R2_DEPTH_THREE_DIGESTS = {
+    "rep": "86814d9b9c8f9409cc4ac21a4b0f3f4c622ebf792e0d61a790066cc2aa687f32",
+    "rep_reversed": "9cb48a9d66c623e5b3bbd89433b40e6586d3ddb507522f1d385840006466c1b3",
+}
+
+
+class TestVectorOperation:
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_matrix_of_op_is_the_evaluated_conjugate(self, request, which):
+        """P_v of a * b is b^-1 a b evaluated, and of a *^-1 b, b a b^-1."""
+        h = request.getfixturevalue(which)
+        pool = enumerate_conjugates(h, 1)
+        for a, b in itertools.product(pool, repeat=2):
+            conj = invert_word(b.word) + a.word + b.word
+            assert quandle_op(a, b).matrix.eq_up_to_sign(evaluate(h, conj))
+            conj_inv = b.word + a.word + invert_word(b.word)
+            assert quandle_op_inv(a, b).matrix.eq_up_to_sign(evaluate(h, conj_inv))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_minus_sign_undoes_crossing_image(self, request, which, sign):
+        pool = enumerate_conjugates(request.getfixturevalue(which), 1)
+        for a, b in itertools.product(pool, repeat=2):
+            there = crossing_image(a.vector, b.vector, sign)
+            assert vectors_equal(crossing_image(there, b.vector, -sign), a.vector)
+
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_r2_depth_three_colorings_are_pinned(self, request, fig8_r2, which):
+        pool = enumerate_conjugates(request.getfixturevalue(which), 3)
+        frames = [fig8_r2.crossing_frame(ci) for ci in range(fig8_r2.n_crossings)]
+        lines = [
+            " ".join(f"{arc}:{word_to_text(e.word)}" for arc, e in c.items())
+            for c in arc_colorings(frames, len(fig8_r2.arcs), pool)
+        ]
+        assert len(lines) == 1110
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == R2_DEPTH_THREE_DIGESTS[which]
+
+
 class TestPools:
     def test_dedup(self, rep):
         gens = rep.generator_elements()
@@ -124,7 +168,8 @@ class TestPools:
         gens = rep.generator_elements()
         pool = ElementPool(gens)
         again = rep.element("x")
-        assert pool.find(again) == 0
+        assert pool.find(again.vector) == 0
+        assert pool.find(tuple(-c for c in again.vector)) == 0
 
     def test_enumerate_sizes_grow(self, rep):
         sizes = [len(enumerate_conjugates(rep, d)) for d in (0, 1, 2)]
@@ -144,16 +189,16 @@ class TestPools:
 def equal_pairs(elements):
     """Pairs (i, j), i < j, that `equals` reports equal.
 
-    `equals` needs every matrix entry within tol * scale up to sign, so the
-    sums of the entries' absolute values then differ by at most
-    4 * tol * scale; only neighbours in that order are compared in full.
+    `equals` needs u - v or u + v shorter than tol * max(|u|, |v|), so the
+    lengths |u| and |v| then differ by less than that; only neighbours in
+    order of length are compared in full.
     """
-    size = [sum(abs(x) for x in e.matrix.entries()) for e in elements]
+    size = [math.hypot(*map(abs, e.vector)) for e in elements]
     order = sorted(range(len(elements)), key=size.__getitem__)
     pairs = []
     for at, i in enumerate(order):
         for j in order[at + 1:]:
-            if size[j] - size[i] > 4 * MATRIX_TOL * max(1.0, size[j]):
+            if size[j] - size[i] > MATRIX_TOL * size[j]:
                 break
             if elements[i].equals(elements[j]):
                 pairs.append((min(i, j), max(i, j)))
@@ -179,11 +224,12 @@ class TestSpherePoint:
         for scale in (1e-3, 1.0, 1e3):
             for _ in range(200):
                 z = scale * complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                hopf = _sphere_point(BoundaryPoint.finite(z))
+                # an unnormalized vector: the Hopf map scales it itself
+                hopf = _sphere_point((z, 1.0))
                 assert max(abs(a - b) for a, b in zip(hopf, stereographic(z))) < 1e-15
 
     def test_infinity_is_the_pole(self):
-        assert _sphere_point(INFINITY) == (0.0, 0.0, 1.0)
+        assert _sphere_point((1.0, 0.0)) == (0.0, 0.0, 1.0)
 
     def test_pool_cells_match_stereographic_cells(self, rep):
         for e in enumerate_conjugates(rep, 3):
@@ -191,7 +237,7 @@ class TestSpherePoint:
                 continue
             z = e.fixed_point.u / e.fixed_point.v
             old = tuple(round(c / FIXED_POINT_CELL) for c in stereographic(z))
-            assert _fixed_point_cell(e.fixed_point) == old
+            assert _fixed_point_cell(e.vector) == old
 
 
 class TestNoSplitDuplicates:
@@ -206,7 +252,7 @@ class TestNoSplitDuplicates:
 
     def test_equal_pair_across_a_cell_boundary_is_one_entry(self):
         def cell(p):
-            return _fixed_point_cell(parabolic_fixing(p).fixed_point)
+            return _fixed_point_cell(parabolic_fixing(p).vector)
 
         # bisect towards a cell boundary until the two fixed points are
         # within 1e-13 of each other but still in different cells
@@ -222,7 +268,7 @@ class TestNoSplitDuplicates:
         a, b = parabolic_fixing(lo), parabolic_fixing(hi)
         assert a.equals(b)
         assert len(ElementPool([a, b])) == 1
-        assert ElementPool([b]).find(a) == 0
+        assert ElementPool([b]).find(a.vector) == 0
 
 
 # KnotInfo PD codes; in id order 5_1 and 6_2 need three seed arcs
@@ -244,7 +290,8 @@ def brute_force_colorings(frames, n_arcs, pool):
 
     @functools.cache
     def holds(under, over, sign, out):
-        return crossing_image(pool[under], pool[over], sign).equals(pool[out])
+        image = crossing_image(pool[under].vector, pool[over].vector, sign)
+        return vectors_equal(image, pool[out].vector)
 
     return {
         colors

@@ -12,11 +12,11 @@ from volquandle.hypgeom import (
     INFINITY,
     TOL,
     BoundaryPoint,
-    IdealTetrahedron,
     MoebiusMap,
     ideal_tet_volume,
     is_parabolic,
-    parabolic_fixed_point,
+    parabolic_map,
+    parabolic_vector,
 )
 
 _S = math.sqrt(3.0)
@@ -24,6 +24,10 @@ _S = math.sqrt(3.0)
 
 def bp(value):
     return BoundaryPoint.finite(value)
+
+
+def fixed_point(m):
+    return BoundaryPoint(*parabolic_vector(m))
 
 
 def random_map(rng):
@@ -43,7 +47,7 @@ def random_tetrahedron(rng):
             for i in range(4)
             for j in range(i + 1, 4)
         ):
-            return IdealTetrahedron(*vs)
+            return tuple(vs)
 
 
 class TestBoundaryPoint:
@@ -75,7 +79,7 @@ class TestBoundaryPoint:
         rng = random.Random(5)
         for _ in range(100):
             p, q = (bp(complex(rng.gauss(0, 3), rng.gauss(0, 3))) for _ in "pq")
-            chord = math.dist(_sphere_point(p), _sphere_point(q))
+            chord = math.dist(_sphere_point((p.u, p.v)), _sphere_point((q.u, q.v)))
             assert abs(p.distance(q) - chord / 2.0) < 1e-12
 
 
@@ -146,7 +150,7 @@ class TestParabolic:
         assert 1e-9 < err < 1e-8
         assert abs(m.trace() ** 2 - 4.0) >= TOL  # an absolute test rejects it
         assert is_parabolic(m)
-        p = parabolic_fixed_point(m)
+        p = fixed_point(m)
         assert m.apply(p).distance(p) < 1e-8
 
     def test_large_entries_loxodromic_rejected(self):
@@ -154,30 +158,34 @@ class TestParabolic:
         assert abs(m.trace() - 2.0) > 1e-5
         assert not is_parabolic(m)
         with pytest.raises(NotParabolic):
-            parabolic_fixed_point(m)
+            parabolic_vector(m)
 
     def test_fixed_point_upper_triangular(self):
-        p = parabolic_fixed_point(MoebiusMap(1.0, 1.0, 0.0, 1.0))
+        p = fixed_point(MoebiusMap(1.0, 1.0, 0.0, 1.0))
         assert p.distance(INFINITY) == 0.0
 
     def test_fixed_point_generic(self):
         m = MoebiusMap(1.0, 0.0, 1.0, 1.0)
-        p = parabolic_fixed_point(m)
+        p = fixed_point(m)
         assert p.distance(bp(0.0)) < TOL
         assert m.apply(p).distance(p) < TOL
 
     def test_non_parabolic_raises(self):
         with pytest.raises(NotParabolic):
-            parabolic_fixed_point(MoebiusMap(2.0, 0.0, 0.0, 0.5))
+            parabolic_vector(MoebiusMap(2.0, 0.0, 0.0, 0.5))
 
     def test_fixed_point_is_fixed_random_conjugates(self):
         rng = random.Random(17)
         base = MoebiusMap(1.0, 1.0, 0.0, 1.0)
         for _ in range(200):
             g = random_map(rng)
-            m = g.inverse().compose(base).compose(g)
-            p = parabolic_fixed_point(m)
-            assert m.apply(p).distance(p) < 1e-8
+            for m in (g.inverse().compose(base).compose(g),
+                      g.inverse().compose(base.inverse()).compose(g)):
+                v = parabolic_vector(m)
+                p = BoundaryPoint(*v)
+                assert m.apply(p).distance(p) < 1e-8
+                # m is +-P_v, whichever sign of trace it carries
+                assert parabolic_map(v).eq_up_to_sign(m, 1e-12)
 
 
 class TestCrossRatio:
@@ -185,49 +193,48 @@ class TestCrossRatio:
 
     def test_standard_position(self):
         # (v0, v1, v2, v3) = (0, inf, 1, z) has cross-ratio z
-        t = IdealTetrahedron(bp(0.0), INFINITY, bp(1.0), bp(2 + 1j))
-        assert abs(ideal_tet_volume(t) - bloch_wigner(2 + 1j)) < 1e-14
+        t = (bp(0.0), INFINITY, bp(1.0), bp(2 + 1j))
+        assert abs(ideal_tet_volume(*t) - bloch_wigner(2 + 1j)) < 1e-14
 
     def test_degenerate_pair_gives_zero(self):
-        t = IdealTetrahedron(bp(0.0), bp(1.0), bp(0.0), bp(2.0))
-        assert ideal_tet_volume(t) == 0.0
+        assert ideal_tet_volume(bp(0.0), bp(1.0), bp(0.0), bp(2.0)) == 0.0
 
     def test_moebius_invariance(self):
         """Maps that send a vertex exactly to infinity, and infinity to a point."""
         rng = random.Random(29)
         for _ in range(200):
             t = random_tetrahedron(rng)
-            vol = ideal_tet_volume(t)
-            for k, v in enumerate(t.vertices()):
+            vol = ideal_tet_volume(*t)
+            for k, v in enumerate(t):
                 # unitary; its row (-v.v, v.u) sends v to exactly 0: infinity
                 to_inf = MoebiusMap(v.u.conjugate(), v.v.conjugate(), -v.v, v.u)
-                moved = [to_inf.apply(w) for w in t.vertices()]
+                moved = [to_inf.apply(w) for w in t]
                 assert moved[k].v == 0.0
-                assert abs(ideal_tet_volume(IdealTetrahedron(*moved)) - vol) < 1e-8
+                assert abs(ideal_tet_volume(*moved) - vol) < 1e-8
                 g = random_map(rng)
                 back = [g.apply(w) for w in moved]
                 assert back[k].distance(g.apply(INFINITY)) < 1e-12
-                assert abs(ideal_tet_volume(IdealTetrahedron(*back)) - vol) < 1e-8
+                assert abs(ideal_tet_volume(*back) - vol) < 1e-8
 
 
 class TestIdealTetVolume:
     def test_regular_ideal_tetrahedron(self):
         omega = complex(0.5, _S / 2.0)
-        t = IdealTetrahedron(bp(0.0), INFINITY, bp(1.0), bp(omega))
-        assert abs(ideal_tet_volume(t) - 1.0149416064096535) < 1e-12
+        vol = ideal_tet_volume(bp(0.0), INFINITY, bp(1.0), bp(omega))
+        assert abs(vol - 1.0149416064096535) < 1e-12
 
     def test_moebius_invariance(self):
         rng = random.Random(31)
         for _ in range(1000):
             t = random_tetrahedron(rng)
             g = random_map(rng)
-            moved = IdealTetrahedron(*(g.apply(v) for v in t.vertices()))
-            assert abs(ideal_tet_volume(t) - ideal_tet_volume(moved)) < 1e-8
+            moved = [g.apply(v) for v in t]
+            assert abs(ideal_tet_volume(*t) - ideal_tet_volume(*moved)) < 1e-8
 
     def test_permutation_parity(self):
         rng = random.Random(43)
         t = random_tetrahedron(rng)
-        vol = ideal_tet_volume(t)
+        vol = ideal_tet_volume(*t)
         assert abs(vol) > 1e-3
         for perm in itertools.permutations(range(4)):
             parity = 1
@@ -237,36 +244,32 @@ class TestIdealTetVolume:
                     j = p[i]
                     p[i], p[j] = p[j], p[i]
                     parity = -parity
-            vs = t.vertices()
-            permuted = IdealTetrahedron(*(vs[i] for i in perm))
-            assert abs(ideal_tet_volume(permuted) - parity * vol) < 1e-9
+            permuted = [t[i] for i in perm]
+            assert abs(ideal_tet_volume(*permuted) - parity * vol) < 1e-9
 
     def test_degenerate_inputs_zero(self):
         a, b, c = bp(0.0), bp(1.0), bp(2 + 3j)
-        assert ideal_tet_volume(IdealTetrahedron(a, a, b, c)) == 0.0
-        assert ideal_tet_volume(IdealTetrahedron(a, b, b, c)) == 0.0
-        assert ideal_tet_volume(IdealTetrahedron(INFINITY, INFINITY, a, b)) == 0.0
+        assert ideal_tet_volume(a, a, b, c) == 0.0
+        assert ideal_tet_volume(a, b, b, c) == 0.0
+        assert ideal_tet_volume(INFINITY, INFINITY, a, b) == 0.0
         # four concyclic (real cross-ratio) points are flat
-        flat = IdealTetrahedron(bp(0.0), bp(1.0), bp(2.0), bp(5.0))
-        assert ideal_tet_volume(flat) == 0.0
+        assert ideal_tet_volume(bp(0.0), bp(1.0), bp(2.0), bp(5.0)) == 0.0
 
     def test_nearly_coincident_vertices_zero(self):
         a = bp(1.25 + 0.5j)
         a_noise = bp(1.25 + 1e-12 + 0.5j)
-        t = IdealTetrahedron(a, a_noise, bp(3.0), INFINITY)
-        assert ideal_tet_volume(t) == 0.0
+        assert ideal_tet_volume(a, a_noise, bp(3.0), INFINITY) == 0.0
 
     def test_vertex_near_infinity_is_coincident(self):
         """One metric: a point 1e8 out is within the guard of infinity."""
         far = 1e8 * (1 + 1j)
-        t = IdealTetrahedron(bp(far), INFINITY, bp(0.0), bp(1j))
-        assert ideal_tet_volume(t) == 0.0
-        t = IdealTetrahedron(bp(0.0), bp(1.0), bp(1e8j), INFINITY)
-        assert ideal_tet_volume(t) == 0.0
+        assert ideal_tet_volume(bp(far), INFINITY, bp(0.0), bp(1j)) == 0.0
+        assert ideal_tet_volume(bp(0.0), bp(1.0), bp(1e8j), INFINITY) == 0.0
 
     def test_orientation_reversal_negates(self):
         rng = random.Random(47)
         for _ in range(100):
             t = random_tetrahedron(rng)
-            swapped = IdealTetrahedron(t.v1, t.v0, t.v2, t.v3)
-            assert abs(ideal_tet_volume(t) + ideal_tet_volume(swapped)) < 1e-9
+            v0, v1, v2, v3 = t
+            swapped = ideal_tet_volume(v1, v0, v2, v3)
+            assert abs(ideal_tet_volume(*t) + swapped) < 1e-9
