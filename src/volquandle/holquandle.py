@@ -256,45 +256,45 @@ class ElementPool:
 def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
     """All g^-1 x g with x a generator, |g| <= depth; deduplicated, ordered.
 
-    Words g come shortest first and, within a length, in lexicographic
-    order of the letters x, x^-1, y, y^-1, ... (generator order); every g
-    is tried with the generators in order. Vectors are chained: the
-    vector of (g l)^-1 x (g l) is M_l^-1 applied to that of g^-1 x g, one
-    generator matrix times a vector per candidate, never a product of
-    already conjugated matrices. A candidate's word is built only when its
-    vector is new to the pool.
+    Each element is listed once, under its first word: words g shortest
+    first and, within a length, in lexicographic order of the letters x,
+    x^-1, y, y^-1, ... (generator order), the generators in order for
+    every g. An element new at length L is the conjugate by a letter l of
+    one new at L - 1 (had that one appeared sooner, so would its
+    conjugate), and its first word is that one's first g followed by l.
+    So each length extends only the elements new at the one before, by g,
+    then l, then x: the order of their first words. Vectors are chained:
+    that of (g l)^-1 x (g l) is M_l^-1 applied to that of g^-1 x g. A
+    candidate's word is built only when its vector is new to the pool.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    base = h.generator_elements()
     pullbacks = []  # (letter l, M_l^-1)
     for name in h.generators:
         m = h.matrix(name)
         pullbacks.append(((name, 1), m.inverse()))
         pullbacks.append(((name, -1), m))
 
-    def extend(g: GroupWord, vectors: list[Vector], length: int):
-        """The reduced words g w with |w| = length, and their vectors.
-
-        Depth first, so only one path of vectors is held at a time.
-        """
-        if length == 0:
-            yield g, vectors
-            return
-        for letter, m in pullbacks:
-            if not g or g[-1] != (letter[0], -letter[1]):
-                moved = [
-                    (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1) for v0, v1 in vectors
-                ]
-                yield from extend(g + (letter,), moved, length - 1)
+    def extend(fresh):
+        """The candidates one letter longer than `fresh`, in word order."""
+        for g, group in itertools.groupby(fresh, key=lambda e: e[0]):
+            group = list(group)
+            for letter, m in pullbacks:
+                if not g or g[-1] != (letter[0], -letter[1]):
+                    gl = g + (letter,)
+                    for _, x, (v0, v1) in group:
+                        yield gl, x, (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1)
 
     pool = ElementPool()
+    candidates = [((), x.word, x.vector) for x in h.generator_elements()]
     for length in range(depth + 1):
-        for g, vectors in extend((), [x.vector for x in base], length):
-            for x, v in zip(base, vectors):
-                if pool.find(v) is None:
-                    word = reduce_word(invert_word(g) + x.word + g)
-                    pool.add(QuandleElement(word, v))
+        fresh = []  # (g, x, v) of the elements new at this length, in pool order
+        for g, x, v in candidates:
+            if pool.find(v) is None:
+                pool.add(QuandleElement(reduce_word(invert_word(g) + x + g), v))
+                if length < depth:
+                    fresh.append((g, x, v))
+        candidates = extend(fresh)
     return pool.elements
 
 

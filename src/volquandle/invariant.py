@@ -338,7 +338,7 @@ def tally_colorings(
     `TestBasePointIndependence` in the tests evaluates every base color
     at depth 1.
     """
-    pool = ElementPool(enumerate_conjugates(h, depth)).elements
+    pool = enumerate_conjugates(h, depth)
     if w is None:
         w = h.element(((h.generators[0], 1),))
     volume = reference_volume(h, d, w)

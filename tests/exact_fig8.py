@@ -118,11 +118,13 @@ class ExactRep:
     def pools(self, depth: int):
         """The conjugate pools at depths 0..depth, as lists of (word, matrix).
 
-        The candidates g^-1 x g come as in `enumerate_conjugates`: words g
-        breadth first, extended by x, x^-1, y, y^-1, ... in generator
-        order, and the generators in order for every g. A candidate is
-        kept when its +- key is new. The depth-d pool is the prefix kept
-        from the words of length <= d.
+        The candidates g^-1 x g are taken over every reduced word g, as the
+        pool is defined: words g breadth first, extended by x, x^-1, y,
+        y^-1, ... in generator order, and the generators in order for every
+        g. A candidate is kept when its +- key is new. Walking every word,
+        not only the extensions of the elements new at the last length, is
+        what makes this an independent check of `enumerate_conjugates`. The
+        depth-d pool is the prefix kept from the words of length <= d.
         """
         letters = [(name, e) for name in self.generators for e in (1, -1)]
         letter_matrix = {

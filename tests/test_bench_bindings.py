@@ -17,16 +17,7 @@ _spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
 
-# `invariant` has not imported `quandle_op_inv` since its region walk
-# moved to `crossing_image`; those calls reach the span through the
-# `holquandle` binding, so the span is complete without this one.
-UNUSED = {("volquandle.invariant", "quandle_op_inv")}
-
-
-@pytest.mark.parametrize(
-    "owner, attr",
-    [(o, a) for _, o, a in spans.BINDINGS if (o, a) not in UNUSED],
-)
+@pytest.mark.parametrize("owner, attr", [(o, a) for _, o, a in spans.BINDINGS])
 def test_binding_resolves(owner, attr):
     obj = spans._resolve(owner)
     assert obj is not None, owner

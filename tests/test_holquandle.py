@@ -22,6 +22,7 @@ from volquandle.holquandle import (
     MATRIX_TOL,
     ElementPool,
     HolonomyRep,
+    QuandleElement,
     _fixed_point_cell,
     _sphere_point,
     arc_colorings,
@@ -184,6 +185,75 @@ class TestPools:
     def test_enumerate_negative_depth(self, rep):
         with pytest.raises(ValueError):
             enumerate_conjugates(rep, -1)
+
+
+def word_walk_pool(h, depth):
+    """The conjugate pool from every reduced word g, depth first.
+
+    Words g of each length in lexicographic letter order x, x^-1, y, ...,
+    the generators in order for each g, vectors chained through M_l^-1; a
+    candidate is kept when its vector is new. It walks every word, so it
+    does not rest on which elements are new at a length.
+    """
+    base = h.generator_elements()
+    pullbacks = []
+    for name in h.generators:
+        m = h.matrix(name)
+        pullbacks.append(((name, 1), m.inverse()))
+        pullbacks.append(((name, -1), m))
+
+    def extend(g, vectors, length):
+        if length == 0:
+            yield g, vectors
+            return
+        for letter, m in pullbacks:
+            if not g or g[-1] != (letter[0], -letter[1]):
+                moved = [
+                    (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1) for v0, v1 in vectors
+                ]
+                yield from extend(g + (letter,), moved, length - 1)
+
+    pool = ElementPool()
+    for length in range(depth + 1):
+        for g, vectors in extend((), [x.vector for x in base], length):
+            for x, v in zip(base, vectors):
+                if pool.find(v) is None:
+                    word = reduce_word(invert_word(g) + x.word + g)
+                    pool.add(QuandleElement(word, v))
+    return pool.elements
+
+
+class TestConjugateBuild:
+    """`enumerate_conjugates` extends only the elements new at a length."""
+
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_equals_the_word_walk(self, request, which, depth):
+        h = request.getfixturevalue(which)
+        # the same words and bit-identical vectors, in the same order
+        assert [(e.word, e.vector) for e in enumerate_conjugates(h, depth)] == [
+            (e.word, e.vector) for e in word_walk_pool(h, depth)
+        ]
+
+    @pytest.mark.parametrize("depth", [3, 4, 5])
+    def test_lookups_stay_linear_in_the_pool(self, rep, monkeypatch, depth):
+        calls = 0
+        find = ElementPool.find
+
+        def counted_find(self, v):
+            nonlocal calls
+            calls += 1
+            return find(self, v)
+
+        monkeypatch.setattr(ElementPool, "find", counted_find)
+        pool = enumerate_conjugates(rep, depth)
+        # a walk over every word makes 7.3x to 17.6x |pool| lookups here
+        assert calls < 3 * len(pool)
+
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_depth_six_pool(self, request, which):
+        # depth 6 is the CLI's --depth maximum
+        assert len(enumerate_conjugates(request.getfixturevalue(which), 6)) == 23252
 
 
 def equal_pairs(elements):
