@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -46,8 +47,8 @@ class RunConfig:
             raise InputError(f"depth must be in 0..{MAX_DEPTH}")
         if not 1 <= self.cap <= MAX_CAP:
             raise InputError(f"cap must be in 1..{MAX_CAP}")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise InputError("tol must be positive and finite")
         if self.precision < 1:
             raise InputError("precision must be at least 1")
 

@@ -348,6 +348,42 @@ def forcing_schedule(frames, n_arcs: int):
     return levels
 
 
+def _seed_colors(vectors, latitudes, color, seed, steps):
+    """The pool indices of the seed's colors that can pass `replay`.
+
+    The level's first step reads the seed (a step reading only arcs
+    colored before would belong to an earlier level), and
+    `ElementPool.find` matches an image only in the cell its fixed point
+    falls in. So a color passes when its first image's latitude cell,
+    the z component of `_fixed_point_cell`, is in `latitudes`, the set
+    some pool element is filed under. The images are computed bit for
+    bit as `crossing_image` computes them (folding the sign, +-1, into
+    the fixed operand is exact) and their cells by `_sphere_point`'s z
+    expression, so every color `find` would accept passes. `color`
+    holds the pool index of every arc colored before the seed.
+    """
+    if not steps or steps[0][0] == steps[0][1]:
+        return range(len(vectors))  # a kink's image is the seed's own color
+    source, over, _, sign, _ = steps[0]
+    if source == seed:  # k = [sign b, a]
+        b0, b1 = vectors[color[over]]
+        s0, s1 = (b0, b1) if sign > 0 else (-b0, -b1)
+        images = [(a0 - k * b0, a1 - k * b1)
+                  for a0, a1 in vectors for k in [s0 * a1 - s1 * a0]]
+    else:  # k = [b, sign a]
+        a0, a1 = vectors[color[source]]
+        s0, s1 = (a0, a1) if sign > 0 else (-a0, -a1)
+        images = [(a0 - k * b0, a1 - k * b1)
+                  for b0, b1 in vectors for k in [b0 * s1 - b1 * s0]]
+    cells = [
+        round(((aa := c0.real * c0.real + c0.imag * c0.imag)
+               - (bb := c1.real * c1.real + c1.imag * c1.imag))
+              / (aa + bb) / FIXED_POINT_CELL)
+        for c0, c1 in images
+    ]
+    return [at for at, z in enumerate(cells) if z in latitudes]
+
+
 def arc_colorings(frames, n_arcs: int, pool):
     """All arc colorings from `pool` satisfying `crossing_image` at every frame.
 
@@ -357,11 +393,13 @@ def arc_colorings(frames, n_arcs: int, pool):
     and replays each level's steps on the pool's vectors and indices,
     building no element and no word; colorings come out in lexicographic
     pool order of their seed colors. Yields dicts arc id -> pool element,
-    keyed in schedule order.
+    keyed in schedule order. Each level replays only the seed colors
+    that `_seed_colors` lets through.
     """
     index = ElementPool(pool)
     elements = index.elements
     vectors = [e.vector for e in elements]
+    latitudes = {cell[2] for cell in index._cells}
     levels = forcing_schedule(frames, n_arcs)
     order = [  # seeds and forced arcs, in the order the search colors them
         a for seed, steps in levels for a in (seed, *(s[2] for s in steps if not s[4]))
@@ -383,7 +421,7 @@ def arc_colorings(frames, n_arcs: int, pool):
             yield {arc: elements[color[arc]] for arc in order}
             return
         seed, steps = levels[level]
-        for at in range(len(elements)):
+        for at in _seed_colors(vectors, latitudes, color, seed, steps):
             color[seed] = at
             if replay(steps):
                 yield from backtrack(level + 1)

@@ -19,6 +19,7 @@ figure-eight diagram yields +V.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -238,6 +239,8 @@ def phi(
     """State sum over all crossings, classified onto {-V, 0, +V}."""
     if volume <= 0:
         raise ValueError("reference volume must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     total = sum(boltzmann_weight(d, s, ci, w) for ci in range(d.n_crossings))
     k = max(-1, min(1, round(total / volume)))
     residual = abs(total - k * volume)

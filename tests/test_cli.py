@@ -84,6 +84,12 @@ class TestVolume:
         assert doc["k"] in (-1, 0, 1)
         assert doc["residual"] < 1e-6
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
+    def test_nonpositive_or_nonfinite_tol_exit_1(self, capsys, tol):
+        code, _, err = run(capsys, "volume", "--fixture", "fig8", f"--tol={tol}")
+        assert code == 1
+        assert "tol must be positive and finite" in err
+
     def test_missing_holonomy_exit_1(self, capsys, tmp_path):
         pd = tmp_path / "k.pd"
         pd.write_text(FIG8_PD)

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from volquandle.holquandle import (
     HolonomyRep,
     QuandleElement,
     _fixed_point_cell,
+    _seed_colors,
     _sphere_point,
     arc_colorings,
     crossing_image,
@@ -118,12 +120,27 @@ class TestQuandleAxioms:
                 assert quandle_op(a, b).fixed_point.distance(expected) < 1e-8
 
 
+def coloring_digest(d, pool):
+    """Count and sha256 of a diagram's arc colorings as "arc:word" lines."""
+    frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+    lines = [
+        " ".join(f"{arc}:{word_to_text(e.word)}" for arc, e in c.items())
+        for c in arc_colorings(frames, len(d.arcs), pool)
+    ]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 # sha256 of the fig8_r2 depth-3 arc colorings as "arc:word" lines, in
 # search order, taken from the word-based search the vector one replaced
 R2_DEPTH_THREE_DIGESTS = {
     "rep": "86814d9b9c8f9409cc4ac21a4b0f3f4c622ebf792e0d61a790066cc2aa687f32",
     "rep_reversed": "9cb48a9d66c623e5b3bbd89433b40e6586d3ddb507522f1d385840006466c1b3",
 }
+# the same for fig8 at depth 4, taken from the search before it screened
+# seed colors by latitude cell
+FIG8_DEPTH_FOUR_DIGEST = (
+    "afbce2b519635088544f465abe03b8137964bfebecf23a7d5cf0437562ba53b9"
+)
 
 
 class TestVectorOperation:
@@ -149,14 +166,11 @@ class TestVectorOperation:
     @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
     def test_r2_depth_three_colorings_are_pinned(self, request, fig8_r2, which):
         pool = enumerate_conjugates(request.getfixturevalue(which), 3)
-        frames = [fig8_r2.crossing_frame(ci) for ci in range(fig8_r2.n_crossings)]
-        lines = [
-            " ".join(f"{arc}:{word_to_text(e.word)}" for arc, e in c.items())
-            for c in arc_colorings(frames, len(fig8_r2.arcs), pool)
-        ]
-        assert len(lines) == 1110
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == R2_DEPTH_THREE_DIGESTS[which]
+        assert coloring_digest(fig8_r2, pool) == (1110, R2_DEPTH_THREE_DIGESTS[which])
+
+    def test_fig8_depth_four_colorings_are_pinned(self, fig8, rep):
+        pool = enumerate_conjugates(rep, 4)
+        assert coloring_digest(fig8, pool) == (4870, FIG8_DEPTH_FOUR_DIGEST)
 
 
 class TestPools:
@@ -412,7 +426,7 @@ class TestForcingSchedule:
 
     @pytest.mark.parametrize(
         "knot, depth",
-        [("fig8", 1), ("fig8_r2", 0), ("3_1", 1), ("5_1", 0), ("6_2", 0)],
+        [("fig8", 1), ("fig8_r2", 0), ("3_1", 1), ("3_1", 2), ("5_1", 0), ("6_2", 0)],
     )
     def test_arc_colorings_equal_brute_force(self, request, rep, knot, depth):
         if knot in KNOTS:
@@ -429,6 +443,54 @@ class TestForcingSchedule:
         ]
         assert len(found) == len(set(found))
         assert set(found) == brute_force_colorings(frames, n_arcs, pool)
+
+
+class TestSeedScreen:
+    @pytest.mark.parametrize("flip", [+1, -1])
+    @pytest.mark.parametrize(  # the seed is the first step's source, its over-arc
+        "which, knot", [("rep", "fig8"), ("rep_reversed", "fig8"), ("rep", "3_1")]
+    )
+    def test_rejects_only_images_find_rejects(self, request, which, knot, flip):
+        """Over every depth-3 seed pair, the screen keeps the colors whose
+        `crossing_image` has a filed latitude cell, and the image of every
+        color it rejects is in no cell."""
+        d = parse_pd(KNOTS[knot]) if knot in KNOTS else request.getfixturevalue(knot)
+        index = ElementPool(enumerate_conjugates(request.getfixturevalue(which), 3))
+        vectors = [e.vector for e in index]
+        latitudes = {cell[2] for cell in index._cells}
+        levels = forcing_schedule(frames_of(d, flip), len(d.arcs))
+        (first, first_steps), (second, steps) = levels
+        assert first_steps == []
+        source, over, _, sign, _ = steps[0]
+        assert (second == over) == (knot == "3_1")
+        color = [0] * len(d.arcs)
+        rejected = 0
+        for at in range(len(vectors)):
+            color[first] = at
+            passed = set(_seed_colors(vectors, latitudes, color, second, steps))
+            for other in range(len(vectors)):
+                color[second] = other
+                image = crossing_image(
+                    vectors[color[source]], vectors[color[over]], sign
+                )
+                filed = _fixed_point_cell(image)[2] in latitudes
+                assert (other in passed) == filed
+                if not filed:
+                    assert index.find(image) is None
+                    rejected += 1
+        assert rejected > len(vectors) ** 2 // 2
+
+    def test_kink_passes_every_color(self, rep):
+        """A first step whose over-arc is its source gives the seed's own color."""
+        frames = [  # an unknot with two R1 kinks, which parse_pd cannot enter
+            SimpleNamespace(under_in_arc=0, over_arc=0, under_out_arc=1, sign=+1),
+            SimpleNamespace(under_in_arc=1, over_arc=1, under_out_arc=0, sign=-1),
+        ]
+        (seed, steps), = forcing_schedule(frames, 2)
+        assert steps[0][:2] == (seed, seed)
+        pool = enumerate_conjugates(rep, 1)
+        found = [(c[0], c[1]) for c in arc_colorings(frames, 2, pool)]
+        assert found == [(e, e) for e in pool]
 
 
 class TestArcColorings:

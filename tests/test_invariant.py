@@ -137,6 +137,12 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(fig8, s, w, -1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_rejects_nonpositive_or_nonfinite_tol(self, fig8, rep, w, tol):
+        s = natural_coloring(fig8, rep)
+        with pytest.raises(ValueError):
+            phi(fig8, s, w, FIG8_VOLUME, tol=tol)
+
     def test_mirror_negates(self, rep, w):
         mirror = parse_pd(FIG8_MIRROR_PD)
         h = load_holonomy(FIG8_HOLONOMY, mirror)
