@@ -17,7 +17,7 @@ from .diagram import Diagram, parse_pd
 from .dilog import bloch_wigner
 from .errors import InputError, OutOfLattice, VolquandleError
 from .fixtures import FIXTURES
-from .holquandle import HolonomyRep, QuandleElement, load_holonomy, word_to_text
+from .holquandle import HolonomyRep, QuandleElement, load_holonomy
 from .invariant import (
     CLASSIFICATION_TOL,
     coloring_from_doc,
@@ -58,7 +58,7 @@ def _config(args) -> RunConfig:
         depth=getattr(args, "depth", 2),
         cap=getattr(args, "cap", 100000),
         tol=getattr(args, "tol", CLASSIFICATION_TOL),
-        precision=args.precision,
+        precision=getattr(args, "precision", 12),
         as_json=args.json,
     )
 
@@ -252,9 +252,7 @@ def cmd_symmetry(args) -> int:
 
     def witness_doc(tally, k):
         s = tally.first_witness.get(k)
-        if s is None:
-            return None
-        return {str(i): word_to_text(e.word) for i, e in sorted(s.arc_colors.items())}
+        return None if s is None else s.to_json_dict()["arcs"]
 
     doc["witnesses"] = {
         "negatively_amphicheiral": witness_doc(report.standard, -1),
@@ -276,6 +274,23 @@ def cmd_symmetry(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "re": dict(help="real part"),
+    "im": dict(help="imaginary part"),
+    "--precision": dict(type=int, default=12, help="printed digits"),
+    "--pd": dict(help="PD-code file"),
+    "--holonomy": dict(help="holonomy JSON file"),
+    "--holonomy-reversed": dict(help="reversed-orientation holonomy JSON"),
+    "--fixture": dict(help="built-in fixture name (fig8)"),
+    "--coloring": dict(help="coloring JSON file (arc words; region words optional)"),
+    "--depth": dict(type=int, default=2, help="conjugation depth"),
+    "--cap": dict(type=int, default=100000, help="coloring cap"),
+    "--tol": dict(type=float, default=CLASSIFICATION_TOL,
+                  help="lattice classification tolerance"),
+    "--base-meridian": dict(help="word for the base meridian w"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volquandle",
@@ -284,51 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, files=True, search=False):
+    files = ("--pd", "--holonomy", "--fixture")
+    state_sum = ("--precision", *files, "--tol", "--base-meridian")
+    # each subcommand takes only the flags it reads
+    for name, func, help_text, flags in [
+        ("dilog", cmd_dilog, "evaluate the Bloch-Wigner function D",
+         ("re", "im", "--precision")),
+        ("parse", cmd_parse, "parse a PD code and print the diagram",
+         ("--pd", "--fixture")),
+        ("volume", cmd_volume, "state sum of the natural coloring", state_sum),
+        ("invariant", cmd_invariant, "state sum of a supplied coloring",
+         (*state_sum, "--coloring")),
+        ("enumerate", cmd_enumerate, "classify all pool colorings",
+         (*state_sum, "--depth", "--cap")),
+        ("symmetry", cmd_symmetry, "bounded symmetry detection",
+         (*files, "--holonomy-reversed", "--tol", "--depth", "--cap")),
+    ]:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--precision", type=int, default=12, help="printed digits")
-        if files:
-            p.add_argument("--pd", help="PD-code file")
-            p.add_argument("--holonomy", help="holonomy JSON file")
-            p.add_argument("--fixture", help="built-in fixture name (fig8)")
-        if search:
-            p.add_argument("--depth", type=int, default=2, help="conjugation depth")
-            p.add_argument("--cap", type=int, default=100000, help="coloring cap")
-            p.add_argument(
-                "--tol", type=float, default=CLASSIFICATION_TOL,
-                help="lattice classification tolerance",
-            )
-            p.add_argument("--base-meridian", help="word for the base meridian w")
-
-    p = sub.add_parser("dilog", help="evaluate the Bloch-Wigner function D")
-    p.add_argument("re", help="real part")
-    p.add_argument("im", help="imaginary part")
-    common(p, files=False)
-    p.set_defaults(func=cmd_dilog)
-
-    p = sub.add_parser("parse", help="parse a PD code and print the diagram")
-    common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("volume", help="state sum of the natural coloring")
-    common(p, search=True)
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("invariant", help="state sum of a supplied coloring")
-    common(p, search=True)
-    p.add_argument("--coloring", help="coloring JSON file")
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("enumerate", help="classify all pool colorings")
-    common(p, search=True)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("symmetry", help="bounded symmetry detection")
-    common(p, search=True)
-    p.add_argument("--holonomy-reversed", help="reversed-orientation holonomy JSON")
-    p.set_defaults(func=cmd_symmetry)
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

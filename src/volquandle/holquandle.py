@@ -14,6 +14,7 @@ fixed point's cell on the Riemann sphere, never by the words.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -476,6 +477,9 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
             raise NotParabolic(f"generator {name!r} is not parabolic")
         matrices[name] = m
     volume = doc.get("volume")
+    finite = type(volume) in (int, float) and 0 < volume < math.inf
+    if volume is not None and not finite:
+        raise BadMatrix(f"declared volume {volume!r} is not a finite positive number")
     rep = HolonomyRep(
         generators=names,
         matrices=matrices,

@@ -6,7 +6,9 @@ Coloring conventions (coupled with the ones in `diagram`):
   color(under_in) * color(over) at a positive crossing, and the inverse
   operation at a negative one.
 * Region rule: crossing an arc along its normal (right side of the arc's
-  orientation to its left side) sends r to r * (arc color).
+  orientation to its left side) sends r to r * (arc color). A region
+  color is a vector r of C^2 and carries no word: its point [r] in CP^1
+  (the X-set of Inoue-Kabaya, Geom. Dedicata 171, 2014) is a vertex.
 * Boltzmann weight at a crossing: sign * vol_w(r, x, y) with y the over
   color, r the source-region color from the crossing frame, and x the
   under color on the source side (the incoming under-arc at a positive
@@ -30,11 +32,12 @@ from .holquandle import (
     ElementPool,
     HolonomyRep,
     QuandleElement,
+    Vector,
     arc_colorings,
     crossing_image,
     enumerate_conjugates,
     quandle_op,
-    quandle_op_inv,
+    quandle_op_inv,  # unused here; perfbench/spans.py still wraps this name
     vectors_equal,
     word_to_text,
 )
@@ -44,21 +47,18 @@ CLASSIFICATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ShadowColoring:
-    """Arc and region colors of a diagram; both maps are by integer id."""
+    """Arc colors (elements) and region colors (vectors), both by integer id."""
 
     arc_colors: dict[int, QuandleElement] = field(compare=False)
-    region_colors: dict[int, QuandleElement] = field(compare=False)
+    region_colors: dict[int, Vector] = field(compare=False)
 
-    def to_json_dict(self, base_meridian: QuandleElement | None = None) -> dict:
-        doc = {
-            "arcs": {str(i): word_to_text(e.word) for i, e in self.arc_colors.items()},
-            "regions": {
-                str(i): word_to_text(e.word) for i, e in self.region_colors.items()
-            },
+    def to_json_dict(self) -> dict:
+        """The arc words by arc id; `coloring_from_doc` walks the regions."""
+        return {
+            "arcs": {
+                str(i): word_to_text(e.word) for i, e in sorted(self.arc_colors.items())
+            }
         }
-        if base_meridian is not None:
-            doc["base_meridian"] = word_to_text(base_meridian.word)
-        return doc
 
 
 @dataclass(frozen=True)
@@ -68,31 +68,25 @@ class PhiResult:
     k: int
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "volume": self.volume,
-            "k": self.k,
-            "residual": self.residual,
-        }
-
 
 def cocycle_vol(
-    w: QuandleElement, z: QuandleElement, x: QuandleElement, y: QuandleElement
+    w: QuandleElement, z: Vector, x: QuandleElement, y: QuandleElement
 ) -> float:
     """Signed volume of the four-tetrahedron chain attached to (z, x, y).
 
-    Tetrahedra (by fixed points): (w, z, x, y), (w, z*x, y, x),
-    (w, (z*x)*y, x*y, y), (w, (z*y), y, x*y). The operated points are
-    the vectors of `crossing_image`; no matrix is formed.
+    `z` is a region color, a vector; w, x and y are elements. Tetrahedra
+    (by points): (w, z, x, y), (w, z*x, y, x), (w, (z*x)*y, x*y, y),
+    (w, (z*y), y, x*y). The operated points are the vectors of
+    `crossing_image`; no matrix is formed.
     """
-    vz, vx, vy = z.vector, x.vector, y.vector
-    zx = crossing_image(vz, vx, +1)
-    fw, fz, fx, fy = (e.fixed_point for e in (w, z, x, y))
+    vx, vy = x.vector, y.vector
+    zx = crossing_image(z, vx, +1)
+    fw, fx, fy = (e.fixed_point for e in (w, x, y))
+    fz = BoundaryPoint(*z)
     f_zx = BoundaryPoint(*zx)
     f_zxy = BoundaryPoint(*crossing_image(zx, vy, +1))
     f_xy = BoundaryPoint(*crossing_image(vx, vy, +1))
-    f_zy = BoundaryPoint(*crossing_image(vz, vy, +1))
+    f_zy = BoundaryPoint(*crossing_image(z, vy, +1))
     return (
         ideal_tet_volume(fw, fz, fx, fy)
         + ideal_tet_volume(fw, f_zx, fy, fx)
@@ -107,22 +101,24 @@ def cocycle_residuals(
     samples: int,
     seed: int = 0,
 ) -> float:
-    """Max residual of the 2-cocycle identity over random (r, x, y, z)."""
+    """Max residual of the 2-cocycle identity over random (r, x, y, z), r a vector."""
     if not pool:
         raise ValueError("pool must be nonempty")
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(samples):
         r, x, y, z = (rng.choice(pool) for _ in range(4))
+        r = r.vector
+        rx, ry, rz = (crossing_image(r, e.vector, +1) for e in (x, y, z))
         lhs = (
             cocycle_vol(w, r, x, y)
-            + cocycle_vol(w, quandle_op(r, y), quandle_op(x, y), z)
+            + cocycle_vol(w, ry, quandle_op(x, y), z)
             + cocycle_vol(w, r, y, z)
         )
         rhs = (
-            cocycle_vol(w, quandle_op(r, x), y, z)
+            cocycle_vol(w, rx, y, z)
             + cocycle_vol(w, r, x, z)
-            + cocycle_vol(w, quandle_op(r, z), quandle_op(x, z), quandle_op(y, z))
+            + cocycle_vol(w, rz, quandle_op(x, z), quandle_op(y, z))
         )
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -149,31 +145,27 @@ def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
     for e in d.edges:
         # right side of the arc to its left (normal) side: a +1 step
         arc = s.arc_colors[d.arc_of_edge(e)].vector
-        near = s.region_colors[d.region_right(e)].vector
-        far = s.region_colors[d.region_left(e)].vector
+        near = s.region_colors[d.region_right(e)]
+        far = s.region_colors[d.region_left(e)]
         if not vectors_equal(crossing_image(near, arc, +1), far):
             violations.append(f"edge {e}: region colors break the region rule")
     return violations
 
 
 def _extend_regions(
-    walks,
-    arc_colors: dict[int, QuandleElement],
-    base_color: QuandleElement,
-) -> dict[int, QuandleElement]:
-    """Color every region by walking from the base region's `base_color`.
+    walks, arc_colors: dict[int, QuandleElement], base: Vector
+) -> dict[int, Vector]:
+    """Color every region by walking from the base region's vector `base`.
 
     `walks` is `Diagram.region_steps_from(base_region)`, computed once by
-    the caller rather than once per coloring. Each step applies the
-    crossing rule with the step direction as the sign: `quandle_op` for
-    +1, `quandle_op_inv` for -1, so every region color carries its word.
+    the caller rather than once per coloring. Each step is
+    `crossing_image` with the step direction as the sign.
     """
     colors = {}
     for region, steps in walks:
-        color = base_color
+        color = base
         for arc, direction in steps:
-            op = quandle_op if direction > 0 else quandle_op_inv
-            color = op(color, arc_colors[arc])
+            color = crossing_image(color, arc_colors[arc].vector, direction)
         colors[region] = color
     return colors
 
@@ -193,7 +185,7 @@ def natural_coloring(
     if base_color is None:
         base_color = h.element(((h.generators[0], 1),))
     walks = d.region_steps_from(base_region)
-    region_colors = _extend_regions(walks, arc_colors, base_color)
+    region_colors = _extend_regions(walks, arc_colors, base_color.vector)
     s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
@@ -202,14 +194,24 @@ def natural_coloring(
 
 
 def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
-    """Build a ShadowColoring from its JSON document; raises on violations."""
+    """Build a ShadowColoring from its JSON document; raises on violations.
+
+    The document is {"arcs": {id: word}, "regions": {id: word}}. Without
+    "regions", the regions are walked from region 0 colored by the first
+    generator, the base of `natural_coloring` and `tally_colorings`.
+    """
     try:
-        arc_words = doc["arcs"]
-        region_words = doc["regions"]
-    except (KeyError, TypeError) as exc:
-        raise ColoringInvalid(f"malformed coloring document: {exc}") from exc
-    arc_colors = {int(i): h.element(word) for i, word in arc_words.items()}
-    region_colors = {int(i): h.element(word) for i, word in region_words.items()}
+        arc_colors = {int(i): h.element(t) for i, t in doc["arcs"].items()}
+        regions = doc.get("regions")
+        if regions is not None:
+            region_colors = {int(i): h.element(t).vector for i, t in regions.items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ColoringInvalid(f"malformed coloring document: {exc!r}") from exc
+    if sorted(arc_colors) != list(range(len(d.arcs))):
+        raise ColoringInvalid(f"arcs {sorted(arc_colors)} are not 0..{len(d.arcs) - 1}")
+    if regions is None:
+        base = h.element(((h.generators[0], 1),)).vector
+        region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
     s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
@@ -237,8 +239,8 @@ def phi(
     tol: float = CLASSIFICATION_TOL,
 ) -> PhiResult:
     """State sum over all crossings, classified onto {-V, 0, +V}."""
-    if volume <= 0:
-        raise ValueError("reference volume must be positive")
+    if not 0 < volume < math.inf:
+        raise ValueError("reference volume must be positive and finite")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     total = sum(boltzmann_weight(d, s, ci, w) for ci in range(d.n_crossings))
@@ -265,7 +267,7 @@ def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0)
     walks = d.region_steps_from(base_region)
     for arc_colors in arc_colorings(frames, len(d.arcs), pool):
         for base_color in pool:
-            region_colors = _extend_regions(walks, arc_colors, base_color)
+            region_colors = _extend_regions(walks, arc_colors, base_color.vector)
             yield ShadowColoring(arc_colors, region_colors)
 
 
@@ -347,6 +349,7 @@ def tally_colorings(
     volume = reference_volume(h, d, w)
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
     walks = d.region_steps_from(0)
+    base = pool[0].vector
     counts: dict[int, int] = {}
     witness: dict[int, ShadowColoring] = {}
     max_residual = 0.0
@@ -356,7 +359,7 @@ def tally_colorings(
         if total >= cap:
             truncated = True
             break
-        s = ShadowColoring(arc_colors, _extend_regions(walks, arc_colors, pool[0]))
+        s = ShadowColoring(arc_colors, _extend_regions(walks, arc_colors, base))
         result = phi(d, s, w, volume, tol)
         counted = min(len(pool), cap - total)
         total += counted

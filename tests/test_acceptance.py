@@ -116,7 +116,7 @@ def test_criterion_05_cocycle_conditions(rep):
     assert cocycle_residuals(w, pool, samples=120) < 1e-9
     for z in pool[::5]:
         for x in pool[::5]:
-            assert abs(cocycle_vol(w, z, x, x)) < 1e-9
+            assert abs(cocycle_vol(w, z.vector, x, x)) < 1e-9
     print("CRITERION 5: PASS (cocycle conditions (i) and (ii) < 1e-9)")
 
 

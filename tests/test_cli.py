@@ -3,7 +3,12 @@ import json
 import pytest
 
 from volquandle.cli import main
-from volquandle.fixtures import FIG8_HOLONOMY, FIG8_PD, FIG8_VOLUME
+from volquandle.fixtures import (
+    FIG8_HOLONOMY,
+    FIG8_HOLONOMY_REVERSED,
+    FIG8_PD,
+    FIG8_VOLUME,
+)
 from volquandle.invariant import tally_colorings
 
 
@@ -102,6 +107,23 @@ class TestVolume:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "declared", ["Infinity", "NaN", "0", "-1", '"abc"'],
+    )
+    def test_bad_declared_volume_exit_1(self, capsys, tmp_path, declared):
+        # json.dumps would refuse Infinity and NaN: write the number as text
+        hol = tmp_path / "h.json"
+        hol.write_text(json.dumps(FIG8_HOLONOMY)[:-1] + f', "volume": {declared}}}')
+        assert json.loads(hol.read_text())["volume"] is not None
+        pd = tmp_path / "k.pd"
+        pd.write_text(FIG8_PD)
+        for command in ("volume", "symmetry"):
+            code, _, err = run(
+                capsys, command, "--pd", str(pd), "--holonomy", str(hol), "--json"
+            )
+            assert code == 1
+            assert "BadMatrix: declared volume" in err
+
     def test_wrong_declared_volume_exit_2(self, capsys, tmp_path):
         doc = dict(FIG8_HOLONOMY)
         doc["volume"] = 1.0
@@ -145,6 +167,70 @@ class TestInvariant:
     def test_missing_coloring_flag(self, capsys):
         code, _, _ = run(capsys, "invariant", "--fixture", "fig8")
         assert code == 1
+
+    ARCS = {"0": "x", "1": "y", "2": "x^-1 y x", "3": "y x^-1 y x y^-1"}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"arcs": {i: t for i, t in ARCS.items() if i != "2"}},
+         "arcs [0, 1, 3] are not 0..3"),
+        ({"arcs": dict(ARCS, **{"7": "x"})}, "arcs [0, 1, 2, 3, 7] are not 0..3"),
+        ({"regions": {}}, "malformed coloring document"),
+        ({"arcs": dict(ARCS, two="x")}, "malformed coloring document"),
+        # every region "x": the rule fails on every edge whose arc is not x
+        ({"arcs": ARCS, "regions": {str(r): "x" for r in range(6)}}, "region rule"),
+    ], ids=["missing arc", "unknown arc", "regions only", "arc id text", "region rule"])
+    def test_bad_document_is_coloring_invalid(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "invariant", "--fixture", "fig8", "--coloring", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ColoringInvalid: ")
+        assert message in err
+
+
+class TestReplayableWitnesses:
+    """Each `symmetry` witness is a coloring document `invariant` rechecks."""
+
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        import contextlib
+        import io
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["symmetry", "--fixture", "fig8", "--depth", "2", "--json"]) == 0
+        return json.loads(out.getvalue())["witnesses"]
+
+    @pytest.mark.parametrize("flag, holonomy, k", [
+        ("negatively_amphicheiral", None, -1),
+        ("invertible", FIG8_HOLONOMY_REVERSED, 1),
+        ("positively_amphicheiral", FIG8_HOLONOMY_REVERSED, -1),
+    ])
+    def test_witness_replays_with_its_k(
+        self, capsys, tmp_path, witnesses, flag, holonomy, k
+    ):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"arcs": witnesses[flag]}))
+        if holonomy is None:
+            inputs = ["--fixture", "fig8"]
+        else:
+            pd, hol = tmp_path / "k.pd", tmp_path / "h.json"
+            pd.write_text(FIG8_PD)
+            hol.write_text(json.dumps(holonomy))
+            inputs = ["--pd", str(pd), "--holonomy", str(hol)]
+        code, out, err = run(
+            capsys, "invariant", *inputs, "--coloring", str(path), "--json"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["k"] == k
+        assert doc["residual"] < 1e-6
+
+    def test_reversed_generator_inverse_reads_back(self, witnesses):
+        # a reversed generator is named "x^-1"; its inverse prints "x^-1^-1"
+        assert witnesses["invertible"]["2"] == "x^-1^-1 w^-1 x^-1"
 
 
 class TestEnumerate:
@@ -232,6 +318,26 @@ class TestSymmetry:
         doc = json.loads(out)
         assert doc["invertible"] == "not computed"
         assert doc["positively_amphicheiral"] == "not computed"
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--holonomy", "h.json"],
+        ["parse", "--precision", "3"],
+        ["volume", "--depth", "99"],
+        ["volume", "--cap", "5"],
+        ["invariant", "--depth", "1"],
+        ["invariant", "--cap", "5"],
+        ["symmetry", "--base-meridian", "y"],
+        ["symmetry", "--precision", "3"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--fixture", "fig8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJsonRoundTrip:

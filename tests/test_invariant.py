@@ -4,7 +4,17 @@ import pytest
 
 from volquandle.errors import ColoringInvalid, OutOfLattice
 from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED, FIG8_VOLUME
-from volquandle.holquandle import ElementPool, enumerate_conjugates, load_holonomy
+from volquandle.holquandle import (
+    ElementPool,
+    arc_colorings,
+    crossing_image,
+    enumerate_conjugates,
+    load_holonomy,
+    quandle_op,
+    quandle_op_inv,
+    vectors_equal,
+    word_to_text,
+)
 from volquandle import invariant
 from volquandle.invariant import (
     boltzmann_weight,
@@ -26,6 +36,23 @@ from volquandle.diagram import parse_pd
 FIG8_MIRROR_PD = "X(1,4,2,5) X(5,8,6,1) X(3,7,4,6) X(7,3,8,2)"
 
 
+def element_walk(walks, arc_colors, base_color):
+    """The region walk on quandle elements, building a word at every step.
+
+    The oracle for `invariant._extend_regions`: `quandle_op` for a +1
+    step and `quandle_op_inv` for a -1 step, each the `crossing_image`
+    of its sign with the word attached.
+    """
+    colors = {}
+    for region, steps in walks:
+        color = base_color
+        for arc, direction in steps:
+            op = quandle_op if direction > 0 else quandle_op_inv
+            color = op(color, arc_colors[arc])
+        colors[region] = color
+    return colors
+
+
 @pytest.fixture(scope="module")
 def w(rep):
     return rep.element("x")
@@ -36,7 +63,7 @@ class TestCocycle:
         pool = enumerate_conjugates(rep, 1)
         for z in pool[::3]:
             for x in pool[::3]:
-                assert cocycle_vol(w, z, x, x) == 0.0
+                assert cocycle_vol(w, z.vector, x, x) == 0.0
 
     def test_condition_ii_residuals(self, rep, w):
         pool = enumerate_conjugates(rep, 2)
@@ -48,7 +75,7 @@ class TestCocycle:
         for z in pool[::2]:
             for x in pool[::3]:
                 for y in pool[::3]:
-                    assert abs(cocycle_vol(w, z, x, y)) <= 4 * 1.015
+                    assert abs(cocycle_vol(w, z.vector, x, y)) <= 4 * 1.015
 
 
 class TestNaturalColoring:
@@ -85,7 +112,11 @@ class TestValidateColoring:
 
     def test_perturbed_region_breaks_region_rule(self, fig8, rep):
         s = natural_coloring(fig8, rep)
-        s.region_colors[2] = quandle_shift(s.region_colors[2], rep)
+        r = s.region_colors[2]
+        s.region_colors[2] = next(
+            moved for g in rep.generator_elements()
+            if (moved := crossing_image(r, g.vector, +1)) != r
+        )
         assert any("region" in v for v in validate_coloring(fig8, s))
 
     def test_missing_color_reported(self, fig8, rep):
@@ -94,25 +125,28 @@ class TestValidateColoring:
         assert any("arc 1" in v for v in validate_coloring(fig8, s))
 
 
-def quandle_shift(element, rep):
-    from volquandle.holquandle import quandle_op
-
-    for g in rep.generator_elements():
-        moved = quandle_op(element, g)
-        if not moved.equals(element):
-            return moved
-    raise AssertionError("no generator moves the element")
-
-
 class TestColoringDocuments:
     def test_round_trip(self, fig8, rep):
         s = natural_coloring(fig8, rep)
         doc = s.to_json_dict()
+        assert list(doc) == ["arcs"]
         again = coloring_from_doc(fig8, rep, doc)
         for i, e in s.arc_colors.items():
             assert again.arc_colors[i].equals(e)
-        for i, e in s.region_colors.items():
-            assert again.region_colors[i].equals(e)
+        # the same walk from the same base: the same vectors, bit for bit
+        assert again.region_colors == s.region_colors
+
+    def test_region_words_are_read_as_vectors(self, fig8, rep):
+        # the region words the element walk builds, as documents held them
+        s = natural_coloring(fig8, rep)
+        walked = element_walk(fig8.region_steps_from(0), s.arc_colors, rep.element("x"))
+        doc = dict(s.to_json_dict(), regions={
+            str(i): word_to_text(e.word) for i, e in walked.items()
+        })
+        again = coloring_from_doc(fig8, rep, doc)
+        assert set(again.region_colors) == set(s.region_colors)
+        for i, v in s.region_colors.items():
+            assert vectors_equal(again.region_colors[i], v)
 
     def test_invalid_document_rejected(self, fig8, rep):
         s = natural_coloring(fig8, rep)
@@ -136,6 +170,12 @@ class TestPhi:
         s = natural_coloring(fig8, rep)
         with pytest.raises(ValueError):
             phi(fig8, s, w, -1.0)
+
+    @pytest.mark.parametrize("volume", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_volume(self, fig8, rep, w, volume):
+        s = natural_coloring(fig8, rep)
+        with pytest.raises(ValueError, match="finite"):
+            phi(fig8, s, w, volume)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_rejects_nonpositive_or_nonfinite_tol(self, fig8, rep, w, tol):
@@ -186,7 +226,9 @@ class TestEnumeration:
         x, y, z, w = rep.generator_elements()
 
         def words(pool):
-            return [s.to_json_dict() for s in first_colorings(fig8, pool)]
+            return [
+                (s.to_json_dict(), s.region_colors) for s in first_colorings(fig8, pool)
+            ]
 
         assert len(words([x, y, z, w])) == 24
         assert words([x, x, y, z, w]) == words([x, y, z, w])
@@ -272,9 +314,9 @@ class TestTallyOracle:
         assert tally.counts == counts
         assert tally.total == total == min(cap, 736)
         assert tally.truncated is truncated is (cap < 736)
-        assert {k: s.to_json_dict() for k, s in tally.first_witness.items()} == {
-            k: s.to_json_dict() for k, s in witness.items()
-        }
+        assert {
+            k: (s.to_json_dict(), s.region_colors) for k, s in tally.first_witness.items()
+        } == {k: (s.to_json_dict(), s.region_colors) for k, s in witness.items()}
         # the residual is that of the evaluated (base pool[0]) colorings
         evaluated = [r.residual for _, r in stream[:total:pool_size]]
         assert tally.max_residual == max(evaluated)
@@ -316,3 +358,27 @@ class TestBasePointIndependence:
             assert ks == [ks[0]] * len(pool)
             seen.add(ks[0])
         assert seen == {-1, 0, 1}
+
+
+class TestRegionWalkOracle:
+    """Region vectors are the element walk's vectors, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "holonomy", [FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED], ids=["std", "rev"]
+    )
+    @pytest.mark.parametrize("diagram", ["fig8", "fig8_r2"])
+    def test_depth_two_region_vectors(self, request, diagram, holonomy):
+        d = request.getfixturevalue(diagram)
+        h = load_holonomy(holonomy, d)
+        pool = enumerate_conjugates(h, 2)
+        frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+        walks = d.region_steps_from(0)
+        bases = pool[: len(h.generators)]  # pool[0], the tally's base, first
+        n = 0
+        for arc_colors in arc_colorings(frames, len(d.arcs), pool):
+            for base in bases:
+                oracle = element_walk(walks, arc_colors, base)
+                walked = invariant._extend_regions(walks, arc_colors, base.vector)
+                assert walked == {r: e.vector for r, e in oracle.items()}
+            n += 1
+        assert n == 242
