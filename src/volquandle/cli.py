@@ -11,11 +11,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, parse_pd
 from .dilog import bloch_wigner
-from .errors import InputError, OutOfLattice, VolquandleError
+from .errors import ColoringInvalid, InputError, OutOfLattice, VolquandleError
 from .fixtures import FIXTURES
 from .holquandle import HolonomyRep, QuandleElement, load_holonomy
 from .invariant import (
@@ -32,35 +32,33 @@ MAX_DEPTH = 6
 MAX_CAP = 10**6
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the heavier subcommands."""
+class RunConfig(NamedTuple):
+    """Run parameters shared by the heavier subcommands; `_config` checks them."""
 
-    depth: int = 2
-    cap: int = 100000
-    tol: float = CLASSIFICATION_TOL
-    precision: int = 12
-    as_json: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise InputError(f"depth must be in 0..{MAX_DEPTH}")
-        if not 1 <= self.cap <= MAX_CAP:
-            raise InputError(f"cap must be in 1..{MAX_CAP}")
-        if not 0 < self.tol < math.inf:
-            raise InputError("tol must be positive and finite")
-        if self.precision < 1:
-            raise InputError("precision must be at least 1")
+    depth: int
+    cap: int
+    tol: float
+    precision: int
+    as_json: bool
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
+    cfg = RunConfig(
         depth=getattr(args, "depth", 2),
         cap=getattr(args, "cap", 100000),
         tol=getattr(args, "tol", CLASSIFICATION_TOL),
         precision=getattr(args, "precision", 12),
         as_json=args.json,
     )
+    if not 0 <= cfg.depth <= MAX_DEPTH:
+        raise InputError(f"depth must be in 0..{MAX_DEPTH}")
+    if not 1 <= cfg.cap <= MAX_CAP:
+        raise InputError(f"cap must be in 1..{MAX_CAP}")
+    if not 0 < cfg.tol < math.inf:
+        raise InputError("tol must be positive and finite")
+    if cfg.precision < 1:
+        raise InputError("precision must be at least 1")
+    return cfg
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -215,7 +213,10 @@ def cmd_invariant(args) -> int:
     coloring_doc = _read_json(args.coloring)
     s = coloring_from_doc(d, h, coloring_doc)
     if getattr(args, "base_meridian", None) is None and "base_meridian" in coloring_doc:
-        w = h.element(coloring_doc["base_meridian"])
+        word = coloring_doc["base_meridian"]
+        if not isinstance(word, str):
+            raise ColoringInvalid(f"base_meridian must be a word, not {word!r}")
+        w = h.element(word)
     else:
         w = _base_meridian(args, h)
     volume = _reference_volume(d, h, w)

@@ -19,15 +19,14 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Disconnected, EdgeCountMismatch, MalformedTerm
 
 _TERM_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     index: int
     edges: tuple[int, int, int, int]  # (a, b, c, d) counterclockwise
     over_in: int
@@ -43,8 +42,7 @@ class Crossing:
         return self.edges[2]
 
 
-@dataclass(frozen=True)
-class CrossingFrame:
+class CrossingFrame(NamedTuple):
     """Arc and region data feeding the Boltzmann weight of one crossing."""
 
     under_in_arc: int

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 PI2_6 = math.pi * math.pi / 6.0
@@ -18,18 +17,24 @@ PI2_6 = math.pi * math.pi / 6.0
 D_MAX = 1.0149416064096535
 
 
-def _bernoulli(count: int) -> list[Fraction]:
-    """First `count` Bernoulli numbers (B_1 = -1/2 convention)."""
-    b: list[Fraction] = [Fraction(1)]
-    for m in range(1, count):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(math.comb(m + 1, k)) * b[k]
-        b.append(-acc / (m + 1))
-    return b
-
-
-_BERNOULLI = [float(x) for x in _bernoulli(64)]
+# Bernoulli numbers B_0 .. B_63 (B_1 = -1/2 convention) as floats, one
+# term each of `_li2_log_series`. B_n vanishes for odd n > 1, so the table
+# lists B_0, B_1 and the even B_2 .. B_62, and a zero follows each even
+# one. tests/test_dilog.py checks every entry against the exact recurrence.
+_EVEN_BERNOULLI = (
+    0.16666666666666666, -0.03333333333333333, 0.023809523809523808,
+    -0.03333333333333333, 0.07575757575757576, -0.2531135531135531,
+    1.1666666666666667, -7.092156862745098, 54.971177944862156,
+    -529.1242424242424, 6192.123188405797, -86580.25311355312,
+    1425517.1666666667, -27298231.067816094, 601580873.9006424,
+    -15116315767.092157, 429614643061.1667, -13711655205088.332,
+    488332318973593.2, -1.9296579341940068e+16, 8.416930475736826e+17,
+    -4.0338071854059454e+19, 2.1150748638081993e+21, -1.2086626522296526e+23,
+    7.500866746076964e+24, -5.038778101481069e+26, 3.6528776484818122e+28,
+    -2.849876930245088e+30, 2.3865427499683627e+32, -2.1399949257225335e+34,
+    2.0500975723478097e+36,
+)
+_BERNOULLI = [1.0, -0.5] + [x for b in _EVEN_BERNOULLI for x in (b, 0.0)]
 
 
 def _li2_series(z: complex) -> complex:

@@ -442,7 +442,7 @@ def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
     """
     flip = -1 if h.orientation == "reversed" else +1
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
-    frames = [replace(f, sign=flip * f.sign) for f in frames]
+    frames = [f._replace(sign=flip * f.sign) for f in frames]
     n_arcs = len(d.arcs)
     pool = enumerate_conjugates(h, 0 if len(h.generators) == n_arcs else 1)
     # the pool begins with the generators and colors are pool elements, so

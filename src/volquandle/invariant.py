@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagram import Diagram
 from .errors import ColoringInvalid, InconsistentExtension, OutOfLattice
@@ -45,12 +45,11 @@ from .holquandle import (
 CLASSIFICATION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ShadowColoring:
+class ShadowColoring(NamedTuple):
     """Arc colors (elements) and region colors (vectors), both by integer id."""
 
-    arc_colors: dict[int, QuandleElement] = field(compare=False)
-    region_colors: dict[int, Vector] = field(compare=False)
+    arc_colors: dict[int, QuandleElement]
+    region_colors: dict[int, Vector]
 
     def to_json_dict(self) -> dict:
         """The arc words by arc id; `coloring_from_doc` walks the regions."""
@@ -61,8 +60,7 @@ class ShadowColoring:
         }
 
 
-@dataclass(frozen=True)
-class PhiResult:
+class PhiResult(NamedTuple):
     phi: float
     volume: float
     k: int
@@ -287,8 +285,7 @@ def reference_volume(h: HolonomyRep, d: Diagram, w: QuandleElement) -> float:
     )
 
 
-@dataclass
-class KTally:
+class KTally(NamedTuple):
     """Phi outcomes over one enumeration run.
 
     `counts` and `total` count shadow colorings; `max_residual` is the
@@ -378,8 +375,7 @@ def tally_colorings(
     )
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Bounded-search symmetry flags; False means 'not detected within bound'."""
 
     negatively_amphicheiral: bool

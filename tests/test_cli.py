@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import volquandle
 from volquandle.cli import main
 from volquandle.fixtures import (
     FIG8_HOLONOMY,
@@ -189,6 +194,26 @@ class TestInvariant:
         assert err.startswith("error: ColoringInvalid: ")
         assert message in err
 
+    @pytest.mark.parametrize("base", [5, None, []], ids=["int", "null", "list"])
+    def test_base_meridian_not_a_word(self, capsys, tmp_path, base):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps({"arcs": self.ARCS, "base_meridian": base}))
+        code, out, err = run(
+            capsys, "invariant", "--fixture", "fig8", "--coloring", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ColoringInvalid: base_meridian must be a word")
+
+    def test_base_meridian_word(self, capsys, tmp_path):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps({"arcs": self.ARCS, "base_meridian": "x"}))
+        code, out, _ = run(
+            capsys, "invariant", "--fixture", "fig8",
+            "--coloring", str(path), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["k"] == -1
+
 
 class TestReplayableWitnesses:
     """Each `symmetry` witness is a coloring document `invariant` rechecks."""
@@ -347,3 +372,16 @@ class TestJsonRoundTrip:
         doc = json.loads(json_out)
         phi_line = next(l for l in text_out.splitlines() if l.startswith("phi"))
         assert float(phi_line.split("=")[1]) == doc["phi"]
+
+
+class TestColdStart:
+    def test_import_builds_no_fractions(self):
+        # a fresh interpreter, since this one has imported more by now
+        src = str(Path(volquandle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, volquandle.cli; print('fractions' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"

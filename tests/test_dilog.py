@@ -9,11 +9,12 @@ serves as a second, external oracle.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from volquandle.dilog import D_MAX, PI2_6, bloch_wigner, li2
+from volquandle.dilog import _BERNOULLI, D_MAX, PI2_6, bloch_wigner, li2
 
 mpmath.mp.dps = 30
 
@@ -43,6 +44,22 @@ def oracle_li2(z: complex) -> complex:
 def oracle_d_unit_circle(theta: float, terms: int = 2_000_000) -> float:
     """Im(Li2(e^{i theta})) summed term by term; tail is O(1/terms^2)."""
     return sum(math.sin(n * theta) / (n * n) for n in range(1, terms + 1))
+
+
+def oracle_bernoulli(count: int) -> list[Fraction]:
+    """First `count` Bernoulli numbers, exact (B_1 = -1/2 convention)."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        acc = sum(math.comb(m + 1, k) * b[k] for k in range(m))
+        b.append(-acc / (m + 1))
+    return b
+
+
+def test_bernoulli_table_is_the_recurrence():
+    # bit for bit, zeros at odd indices included: every term of the
+    # log series, and so every Phi, depends on these exact floats
+    expected = [float(b).hex() for b in oracle_bernoulli(64)]
+    assert [x.hex() for x in _BERNOULLI] == expected
 
 
 def test_d_max_against_brute_force_oracle():

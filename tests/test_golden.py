@@ -1,0 +1,61 @@
+"""CLI outputs pinned against files in tests/golden/.
+
+Every key must match exactly, except `max_residual`, a rounding error
+that only has to stay below MAX_RESIDUAL. Text outputs must match byte
+for byte. A change that means to move an answer rewrites the file with
+the CLI command of its case and explains the difference.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from volquandle.cli import main
+from volquandle.fixtures import FIG8_PD_R2
+
+GOLDEN = Path(__file__).parent / "golden"
+MAX_RESIDUAL = 1e-12
+
+CASES = {
+    **{
+        f"symmetry-fig8-d{d}.{ext}": ["symmetry", "--fixture", "fig8",
+                                      "--depth", str(d), *flag]
+        for d in (1, 2, 3)
+        for ext, flag in (("json", ["--json"]), ("txt", []))
+    },
+    "enumerate-fig8-d2.json": ["enumerate", "--fixture", "fig8", "--depth", "2",
+                               "--json"],
+    "volume-fig8.json": ["volume", "--fixture", "fig8", "--json"],
+    **{
+        f"symmetry-fig8-r2-d{d}.json": ["symmetry", "--fixture", "fig8",
+                                        "--pd", "{r2}", "--depth", str(d), "--json"]
+        for d in (1, 2)
+    },
+}
+
+
+def assert_matches(got, want, path="$"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            if key == "max_residual":
+                assert 0.0 <= got[key] < MAX_RESIDUAL, f"{path}.{key}"
+            else:
+                assert_matches(got[key], want[key], f"{path}.{key}")
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, tmp_path, name):
+    r2 = tmp_path / "fig8_r2.pd"
+    r2.write_text(FIG8_PD_R2)
+    argv = [arg.format(r2=r2) for arg in CASES[name]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    want = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        assert_matches(json.loads(out), json.loads(want))
+    else:
+        assert out == want

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -366,7 +365,7 @@ KNOTS = {
 def frames_of(d, flip=+1):
     """Crossing frames, with every sign times `flip` as for a reversed rep."""
     frames = map(d.crossing_frame, range(d.n_crossings))
-    return [replace(f, sign=flip * f.sign) for f in frames]
+    return [f._replace(sign=flip * f.sign) for f in frames]
 
 
 def brute_force_colorings(frames, n_arcs, pool):

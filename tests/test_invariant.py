@@ -258,6 +258,16 @@ class TestTally:
         for k in tally.counts:
             assert k in tally.first_witness
 
+    def test_distinct_witnesses_compare_unequal(self, fig8, rep):
+        tally = tally_colorings(fig8, rep, depth=1, cap=10**5)
+        witnesses = [tally.first_witness[k] for k in (-1, 0, 1)]
+        for i, a in enumerate(witnesses):
+            for j, b in enumerate(witnesses):
+                assert (a == b) == (i == j)
+        # colorings hold dicts, so a set cannot silently merge them
+        with pytest.raises(TypeError):
+            set(witnesses)
+
 
 class TestSymmetryReport:
     def test_partial_mode_without_reversed(self, fig8, rep):
