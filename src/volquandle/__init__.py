@@ -38,12 +38,11 @@ from .holquandle import (
     word_to_text,
 )
 from .hypgeom import (
-    INFINITY,
-    BoundaryPoint,
     MoebiusMap,
     ideal_tet_volume,
     is_parabolic,
     parabolic_vector,
+    unit,
 )
 from .invariant import (
     KTally,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadMatrix",
-    "BoundaryPoint",
     "ColoringInvalid",
     "Crossing",
     "CrossingFrame",
@@ -78,7 +76,6 @@ __all__ = [
     "FIXTURES",
     "GroupWord",
     "HolonomyRep",
-    "INFINITY",
     "InconsistentExtension",
     "InputError",
     "KTally",
@@ -114,6 +111,7 @@ __all__ = [
     "reference_volume",
     "symmetry_report",
     "tally_colorings",
+    "unit",
     "validate_coloring",
     "word_from_text",
     "word_to_text",

@@ -157,16 +157,19 @@ def _phi_doc(result, cfg: RunConfig) -> tuple[dict, list[str]]:
 
 
 def cmd_dilog(args) -> int:
+    cfg = _config(args)
     try:
         z = complex(float(args.re), float(args.im))
+        if math.isnan(z.real) or math.isnan(z.imag):  # no point of CP^1
+            raise ValueError(z)
     except ValueError:
         print("dilog: arguments must be real numbers", file=sys.stderr)
         return 2
     value = bloch_wigner(z)
-    if args.json:
+    if cfg.as_json:
         print(json.dumps({"z": [z.real, z.imag], "D": value}))
     else:
-        print(_fmt(value, args.precision))
+        print(_fmt(value, cfg.precision))
     return 0
 
 

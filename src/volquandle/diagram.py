@@ -16,7 +16,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
 from typing import NamedTuple
@@ -267,9 +266,6 @@ class Diagram:
                 for i, boundary in enumerate(self._region_boundaries)
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _follows(first: int, second: int, n_edges: int) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .errors import (
     BadMatrix,
@@ -24,17 +23,10 @@ from .errors import (
     RelationViolated,
     UnknownGenerator,
 )
-from .hypgeom import (
-    BoundaryPoint,
-    MoebiusMap,
-    is_parabolic,
-    parabolic_map,
-    parabolic_vector,
-)
+from .hypgeom import MoebiusMap, Vector, is_parabolic, parabolic_vector
 
 Letter = tuple[str, int]
 GroupWord = tuple[Letter, ...]
-Vector = tuple[complex, complex]
 
 # Relative tolerance of +-v equality: two vectors are one element when
 # their difference, or their sum, is shorter than MATRIX_TOL times the
@@ -107,19 +99,6 @@ class QuandleElement:
 
     word: GroupWord
     vector: Vector
-
-    @cached_property
-    def fixed_point(self) -> BoundaryPoint:
-        """[v], the boundary fixed point."""
-        return BoundaryPoint(*self.vector)
-
-    @property
-    def matrix(self) -> MoebiusMap:
-        """P_v = I + v v^T J, built from v; the word is not evaluated."""
-        return parabolic_map(self.vector)
-
-    def equals(self, other: "QuandleElement") -> bool:
-        return vectors_equal(self.vector, other.vector)
 
     def __repr__(self):
         return f"QuandleElement({word_to_text(self.word)!r})"
@@ -461,10 +440,14 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
           "orientation": "standard"|"reversed", "volume": optional}
     """
     try:
-        names = tuple(doc["generators"])
+        names = doc["generators"]
         raw = doc["matrices"]
     except (KeyError, TypeError) as exc:
         raise BadMatrix(f"malformed holonomy document: {exc}") from exc
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise BadMatrix(f"generators must be a list of distinct names, not {names!r}")
+    names = tuple(names)
     orientation = doc.get("orientation", "standard")
     if orientation not in ("standard", "reversed"):
         raise BadMatrix(f"unknown orientation tag {orientation!r}")

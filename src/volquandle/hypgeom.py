@@ -1,10 +1,12 @@
 """Boundary geometry of hyperbolic 3-space in the upper half-space model.
 
-A point of the ideal boundary CP^1 is a unit vector (u, v) in C^2, up to
-phase: z in C is (z, 1) scaled to unit length and infinity is (1, 0), so
+A point of the ideal boundary CP^1 is a nonzero vector p = (u, v) of C^2
+up to scale, a plain tuple: z in C is (z, 1) and infinity is (1, 0), so
 nothing branches on infinity. The one closeness test is the bracket
-|[p, q]| = |p.u q.v - p.v q.u|, half the chordal distance on the unit
-Riemann sphere. Orientation-preserving isometries act as Moebius maps
+|[p, q]| = |p0 q1 - p1 q0| of unit vectors, half the chordal distance on
+the unit Riemann sphere; `unit` scales a vertex to unit length once, so
+that the coincident-vertex guard of `ideal_tet_volume` reads brackets on
+that one scale. Orientation-preserving isometries act as Moebius maps
 (PSL(2, C), so all matrix comparisons are up to a global sign); a
 parabolic one is +-(I + v v^T J) for a vector v in C^2, unique up to
 sign, and fixes the point [v]. Signed ideal-tetrahedron volume is the
@@ -28,40 +30,16 @@ TOL = 1e-9
 # O(1) number.
 COINCIDENT_VERTEX_TOL = 1e-7
 
-
-class BoundaryPoint:
-    """A point of CP^1, the unit vector (u, v) up to phase; immutable.
-
-    Use `finite(z)` or `INFINITY`; `BoundaryPoint(u, v)` scales any
-    nonzero vector to unit length.
-    """
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: complex, v: complex):
-        u, v = complex(u), complex(v)
-        n = math.hypot(abs(u), abs(v))
-        if not (0.0 < n < math.inf):
-            raise ValueError(f"({u!r}, {v!r}) is not a point of CP^1")
-        object.__setattr__(self, "u", u / n)
-        object.__setattr__(self, "v", v / n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BoundaryPoint is immutable")
-
-    @classmethod
-    def finite(cls, value: complex) -> "BoundaryPoint":
-        return cls(value, 1.0)
-
-    def distance(self, other: "BoundaryPoint") -> float:
-        """The bracket |[p, q]| = |p.u q.v - p.v q.u|, half the chordal distance."""
-        return abs(self.u * other.v - self.v * other.u)
-
-    def __repr__(self):
-        return f"BoundaryPoint({self.u!r}, {self.v!r})"
+Vector = tuple[complex, complex]
 
 
-INFINITY = BoundaryPoint(1.0, 0.0)
+def unit(p: Vector) -> Vector:
+    """The unit vector of the point [p]; p is any nonzero finite vector."""
+    u, v = complex(p[0]), complex(p[1])
+    n = math.hypot(abs(u), abs(v))
+    if not (0.0 < n < math.inf):
+        raise ValueError(f"({u!r}, {v!r}) is not a point of CP^1")
+    return (u / n, v / n)
 
 
 @dataclass(frozen=True)
@@ -105,9 +83,6 @@ class MoebiusMap:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def apply(self, p: BoundaryPoint) -> BoundaryPoint:
-        return BoundaryPoint(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)
-
     def eq_up_to_sign(self, other: "MoebiusMap", tol: float = TOL) -> bool:
         mine = self.entries()
         theirs = other.entries()
@@ -121,12 +96,6 @@ class MoebiusMap:
 
     def is_identity_up_to_sign(self) -> bool:
         return self.eq_up_to_sign(MoebiusMap.identity())
-
-    def to_json(self):
-        return [
-            [[self.a.real, self.a.imag], [self.b.real, self.b.imag]],
-            [[self.c.real, self.c.imag], [self.d.real, self.d.imag]],
-        ]
 
     @classmethod
     def from_json(cls, rows) -> "MoebiusMap":
@@ -154,7 +123,7 @@ def is_parabolic(m: MoebiusMap) -> bool:
     return not m.is_identity_up_to_sign()
 
 
-def parabolic_map(v: tuple[complex, complex]) -> MoebiusMap:
+def parabolic_map(v: Vector) -> MoebiusMap:
     """P_v = I + v v^T J = [[1 - v0 v1, v0^2], [-v1^2, 1 + v0 v1]].
 
     Here J = [[0, 1], [-1, 0]]. Every parabolic map is +-P_v for a vector
@@ -165,7 +134,7 @@ def parabolic_map(v: tuple[complex, complex]) -> MoebiusMap:
     return MoebiusMap(1.0 - v0 * v1, v0 * v0, -v1 * v1, 1.0 + v0 * v1)
 
 
-def parabolic_vector(m: MoebiusMap) -> tuple[complex, complex]:
+def parabolic_vector(m: MoebiusMap) -> Vector:
     """The vector v, up to sign, with m = +-P_v (see `parabolic_map`).
 
     Of the trace +2 representative of +-m, the entry b is v0^2 and -c is
@@ -184,21 +153,21 @@ def parabolic_vector(m: MoebiusMap) -> tuple[complex, complex]:
     return ((d - a) / (2.0 * v1), v1)
 
 
-def ideal_tet_volume(
-    v0: BoundaryPoint, v1: BoundaryPoint, v2: BoundaryPoint, v3: BoundaryPoint
-) -> float:
-    """Signed volume D(z), z = [v0,v3][v1,v2] / ([v0,v2][v1,v3]) the cross-ratio.
+def ideal_tet_volume(p0: Vector, p1: Vector, p2: Vector, p3: Vector) -> float:
+    """Signed volume D(z), z = [p0,p3][p1,p2] / ([p0,p2][p1,p3]) the cross-ratio.
 
-    The vertices are ordered, and the order carries the orientation. Zero
-    for degenerate (real cross-ratio) tetrahedra, and zero when two
-    vertices have a bracket below `COINCIDENT_VERTEX_TOL`.
+    The vertices are unit vectors (see `unit`), ordered, and the order
+    carries the orientation. Zero for degenerate (real cross-ratio)
+    tetrahedra, and zero when two vertices have a bracket below
+    `COINCIDENT_VERTEX_TOL`.
     """
-    b01 = v0.u * v1.v - v0.v * v1.u
-    b02 = v0.u * v2.v - v0.v * v2.u
-    b03 = v0.u * v3.v - v0.v * v3.u
-    b12 = v1.u * v2.v - v1.v * v2.u
-    b13 = v1.u * v3.v - v1.v * v3.u
-    b23 = v2.u * v3.v - v2.v * v3.u
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = p0, p1, p2, p3
+    b01 = u0 * v1 - v0 * u1
+    b02 = u0 * v2 - v0 * u2
+    b03 = u0 * v3 - v0 * u3
+    b12 = u1 * v2 - v1 * u2
+    b13 = u1 * v3 - v1 * u3
+    b23 = u2 * v3 - v2 * u3
     nearest = min(abs(b01), abs(b02), abs(b03), abs(b12), abs(b13), abs(b23))
     if nearest < COINCIDENT_VERTEX_TOL:
         return 0.0

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .diagram import Diagram
 from .errors import ColoringInvalid, InconsistentExtension, OutOfLattice
-from .hypgeom import BoundaryPoint, ideal_tet_volume
+from .hypgeom import ideal_tet_volume, unit
 from .holquandle import (
     ElementPool,
     HolonomyRep,
@@ -75,16 +75,16 @@ def cocycle_vol(
     `z` is a region color, a vector; w, x and y are elements. Tetrahedra
     (by points): (w, z, x, y), (w, z*x, y, x), (w, (z*x)*y, x*y, y),
     (w, (z*y), y, x*y). The operated points are the vectors of
-    `crossing_image`; no matrix is formed.
+    `crossing_image`, and `unit` scales each of the eight points once; no
+    matrix is formed.
     """
     vx, vy = x.vector, y.vector
     zx = crossing_image(z, vx, +1)
-    fw, fx, fy = (e.fixed_point for e in (w, x, y))
-    fz = BoundaryPoint(*z)
-    f_zx = BoundaryPoint(*zx)
-    f_zxy = BoundaryPoint(*crossing_image(zx, vy, +1))
-    f_xy = BoundaryPoint(*crossing_image(vx, vy, +1))
-    f_zy = BoundaryPoint(*crossing_image(z, vy, +1))
+    fw, fx, fy, fz = unit(w.vector), unit(vx), unit(vy), unit(z)
+    f_zx = unit(zx)
+    f_zxy = unit(crossing_image(zx, vy, +1))
+    f_xy = unit(crossing_image(vx, vy, +1))
+    f_zy = unit(crossing_image(z, vy, +1))
     return (
         ideal_tet_volume(fw, fz, fx, fy)
         + ideal_tet_volume(fw, f_zx, fy, fx)

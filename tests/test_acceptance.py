@@ -15,11 +15,11 @@ from volquandle.dilog import bloch_wigner
 from volquandle.fixtures import FIG8_HOLONOMY, FIG8_VOLUME
 from volquandle.holquandle import enumerate_conjugates, load_holonomy, quandle_op
 from volquandle.hypgeom import (
-    INFINITY,
-    BoundaryPoint,
     MoebiusMap,
     ideal_tet_volume,
+    parabolic_map,
     parabolic_vector,
+    unit,
 )
 from volquandle.invariant import (
     cocycle_residuals,
@@ -30,18 +30,15 @@ from volquandle.invariant import (
     tally_colorings,
 )
 
+from points import INFINITY, act, bp, bracket
 from test_dilog import OMEGA, oracle_d_unit_circle
 
 _S = math.sqrt(3.0)
 V_REF = 2.0298832128193
 
 
-def bp(value):
-    return BoundaryPoint.finite(value)
-
-
 def fixed_point(m):
-    return BoundaryPoint(*parabolic_vector(m))
+    return unit(parabolic_vector(m))
 
 
 def test_criterion_01_dilogarithm():
@@ -102,11 +99,11 @@ def test_criterion_04_fixed_points(rep):
     y = rep.element("y")
     z = rep.element("z")
     x = rep.element("x")
-    assert w.fixed_point.distance(bp(0.0)) < 1e-10
-    assert y.fixed_point.distance(INFINITY) == 0.0
-    assert z.fixed_point.distance(bp(up)) < 1e-10
-    assert x.fixed_point.distance(bp(1.0)) < 1e-10
-    assert quandle_op(y, z).fixed_point.distance(bp(um)) < 1e-10
+    assert bracket(unit(w.vector), bp(0.0)) < 1e-10
+    assert bracket(unit(y.vector), INFINITY) == 0.0
+    assert bracket(unit(z.vector), bp(up)) < 1e-10
+    assert bracket(unit(x.vector), bp(1.0)) < 1e-10
+    assert bracket(unit(quandle_op(y, z).vector), bp(um)) < 1e-10
     print("CRITERION 4: PASS (fixture fixed points match)")
 
 
@@ -177,7 +174,7 @@ def test_criterion_10_geometry_properties(rep):
         while True:
             vs = [bp(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
                   for _ in range(4)]
-            if all(vs[i].distance(vs[j]) >= 1e-3
+            if all(bracket(vs[i], vs[j]) >= 1e-3
                    for i in range(4) for j in range(i + 1, 4)):
                 return vs
 
@@ -185,7 +182,7 @@ def test_criterion_10_geometry_properties(rep):
     for _ in range(1000):
         t = random_tet()
         g = random_map()
-        moved = [g.apply(v) for v in t]
+        moved = [act(g, v) for v in t]
         assert abs(ideal_tet_volume(*t) - ideal_tet_volume(*moved)) < 1e-8
     # permutation parity on all 24 orderings
     t = random_tet()
@@ -205,11 +202,11 @@ def test_criterion_10_geometry_properties(rep):
     assert ideal_tet_volume(a, a, b, c) == 0.0
     assert ideal_tet_volume(bp(0.0), bp(1.0), bp(3.0), bp(7.0)) == 0.0
     # fixed-point equivariance
-    base = rep.element("y").matrix
+    base = parabolic_map(rep.element("y").vector)
     for _ in range(200):
         g = random_map()
         conj = g.inverse().compose(base).compose(g)
         p = fixed_point(conj)
-        expected = g.inverse().apply(fixed_point(base))
-        assert p.distance(expected) < 1e-8
+        expected = act(g.inverse(), fixed_point(base))
+        assert bracket(p, expected) < 1e-8
     print("CRITERION 10: PASS (geometry property suite)")

@@ -49,6 +49,23 @@ class TestDilog:
         doc = json.loads(out)
         assert abs(doc["D"] - 1.0149416064096535) < 1e-12
 
+    @pytest.mark.parametrize("precision", ["-1", "0"])
+    def test_precision_below_one_exit_1(self, capsys, precision):
+        code, out, err = run(capsys, "dilog", "0.5", "0.5", f"--precision={precision}")
+        assert (code, out) == (1, "")
+        assert "InputError: precision must be at least 1" in err
+
+    @pytest.mark.parametrize("re_im", [("nan", "1"), ("1", "nan"), ("nan", "nan")])
+    def test_nan_is_no_point_exit_2(self, capsys, re_im):
+        code, out, err = run(capsys, "dilog", *re_im)
+        assert (code, out) == (2, "")
+        assert "arguments must be real numbers" in err
+
+    def test_infinity_is_zero(self, capsys):
+        code, out, _ = run(capsys, "dilog", "inf", "0")
+        assert code == 0
+        assert out.strip() == "0.000000000000"
+
 
 class TestParse:
     def test_fixture_text(self, capsys):
@@ -128,6 +145,16 @@ class TestVolume:
             )
             assert code == 1
             assert "BadMatrix: declared volume" in err
+
+    @pytest.mark.parametrize("generators", ["xyzw", ["x", "x", "y", "z", "w"]])
+    def test_malformed_generators_exit_1(self, capsys, tmp_path, generators):
+        hol = tmp_path / "h.json"
+        hol.write_text(json.dumps(dict(FIG8_HOLONOMY, generators=generators)))
+        pd = tmp_path / "k.pd"
+        pd.write_text(FIG8_PD)
+        code, out, err = run(capsys, "volume", "--pd", str(pd), "--holonomy", str(hol))
+        assert (code, out) == (1, "")
+        assert "BadMatrix: generators must be a list of distinct names" in err
 
     def test_wrong_declared_volume_exit_2(self, capsys, tmp_path):
         doc = dict(FIG8_HOLONOMY)

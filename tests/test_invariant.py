@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -69,6 +69,18 @@ class TestCocycle:
         pool = enumerate_conjugates(rep, 2)
         assert cocycle_residuals(w, pool, samples=120) < 1e-9
 
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_region_color_is_a_point_up_to_scale(self, request, which):
+        """[c z] = [z]: scaling the region vector leaves the volume alone."""
+        h = request.getfixturevalue(which)
+        pool = enumerate_conjugates(h, 1)
+        w = pool[0]
+        for z, x, y in product(pool, repeat=3):
+            vol = cocycle_vol(w, z.vector, x, y)
+            for c in (2, 1j, 1e-3):
+                scaled = (c * z.vector[0], c * z.vector[1])
+                assert abs(cocycle_vol(w, scaled, x, y) - vol) < 1e-12
+
     def test_values_lie_in_volume_window(self, rep, w):
         # four tetrahedra, each bounded by the regular ideal volume
         pool = enumerate_conjugates(rep, 1)
@@ -104,8 +116,9 @@ class TestNaturalColoring:
 class TestValidateColoring:
     def test_perturbed_arc_breaks_crossing_rule(self, fig8, rep):
         s = natural_coloring(fig8, rep)
+        first = s.arc_colors[0].vector
         other = next(
-            g for g in rep.generator_elements() if not g.equals(s.arc_colors[0])
+            g for g in rep.generator_elements() if not vectors_equal(g.vector, first)
         )
         s.arc_colors[0] = other
         assert any("crossing" in v for v in validate_coloring(fig8, s))
@@ -132,7 +145,7 @@ class TestColoringDocuments:
         assert list(doc) == ["arcs"]
         again = coloring_from_doc(fig8, rep, doc)
         for i, e in s.arc_colors.items():
-            assert again.arc_colors[i].equals(e)
+            assert vectors_equal(again.arc_colors[i].vector, e.vector)
         # the same walk from the same base: the same vectors, bit for bit
         assert again.region_colors == s.region_colors
 
@@ -210,7 +223,10 @@ class TestEnumeration:
         pool = rep.generator_elements()
         target = natural_coloring(fig8, rep)
         assert any(
-            all(s.arc_colors[i].equals(target.arc_colors[i]) for i in range(4))
+            all(
+                vectors_equal(s.arc_colors[i].vector, target.arc_colors[i].vector)
+                for i in range(4)
+            )
             for s in first_colorings(fig8, pool)
         )
 
@@ -239,7 +255,10 @@ class TestEnumeration:
         b = first_colorings(fig8, pool)
         assert len(a) == len(b)
         for s, t in zip(a, b):
-            assert all(s.arc_colors[i].equals(t.arc_colors[i]) for i in s.arc_colors)
+            assert all(
+                vectors_equal(s.arc_colors[i].vector, t.arc_colors[i].vector)
+                for i in s.arc_colors
+            )
 
 
 class TestTally:
