@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from typing import NamedTuple
 
 from .diagram import Diagram, parse_pd
 from .dilog import bloch_wigner
@@ -19,7 +18,6 @@ from .errors import ColoringInvalid, InputError, OutOfLattice, VolquandleError
 from .fixtures import FIXTURES
 from .holquandle import HolonomyRep, QuandleElement, load_holonomy
 from .invariant import (
-    CLASSIFICATION_TOL,
     coloring_from_doc,
     natural_coloring,
     phi,
@@ -32,33 +30,19 @@ MAX_DEPTH = 6
 MAX_CAP = 10**6
 
 
-class RunConfig(NamedTuple):
-    """Run parameters shared by the heavier subcommands; `_config` checks them."""
-
-    depth: int
-    cap: int
-    tol: float
-    precision: int
-    as_json: bool
+# dest: (lowest, highest, message) for the numeric flags a subcommand takes
+_RANGES = {
+    "depth": (0, MAX_DEPTH, f"depth must be in 0..{MAX_DEPTH}"),
+    "cap": (1, MAX_CAP, f"cap must be in 1..{MAX_CAP}"),
+    "precision": (1, math.inf, "precision must be at least 1"),
+}
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        depth=getattr(args, "depth", 2),
-        cap=getattr(args, "cap", 100000),
-        tol=getattr(args, "tol", CLASSIFICATION_TOL),
-        precision=getattr(args, "precision", 12),
-        as_json=args.json,
-    )
-    if not 0 <= cfg.depth <= MAX_DEPTH:
-        raise InputError(f"depth must be in 0..{MAX_DEPTH}")
-    if not 1 <= cfg.cap <= MAX_CAP:
-        raise InputError(f"cap must be in 1..{MAX_CAP}")
-    if not 0 < cfg.tol < math.inf:
-        raise InputError("tol must be positive and finite")
-    if cfg.precision < 1:
-        raise InputError("precision must be at least 1")
-    return cfg
+def _check_ranges(args) -> None:
+    given = vars(args)
+    for dest, (lowest, highest, message) in _RANGES.items():
+        if dest in given and not lowest <= given[dest] <= highest:
+            raise InputError(message)
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -131,16 +115,19 @@ def _reference_volume(d: Diagram, h: HolonomyRep, w: QuandleElement) -> float:
         raise InputError(str(exc)) from exc
 
 
-def _emit(doc: dict, lines: list[str], cfg: RunConfig) -> None:
-    if cfg.as_json:
+def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
+    if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
 
 
-def _phi_doc(result, cfg: RunConfig) -> tuple[dict, list[str]]:
-    p = cfg.precision
+def _print_phi(args, d: Diagram, h: HolonomyRep, w: QuandleElement, coloring) -> int:
+    """Phi of `coloring()`, which is built once the reference volume is known."""
+    volume = _reference_volume(d, h, w)
+    result = phi(d, coloring(), w, volume)
+    p = args.precision
     doc = {
         "phi": float(_fmt(result.phi, p)),
         "volume": float(_fmt(result.volume, p)),
@@ -153,11 +140,11 @@ def _phi_doc(result, cfg: RunConfig) -> tuple[dict, list[str]]:
         f"k        = {result.k:+d}",
         f"residual = {result.residual:.{p}e}",
     ]
-    return doc, lines
+    _emit(doc, lines, args.json)
+    return 0
 
 
 def cmd_dilog(args) -> int:
-    cfg = _config(args)
     try:
         z = complex(float(args.re), float(args.im))
         if math.isnan(z.real) or math.isnan(z.imag):  # no point of CP^1
@@ -166,15 +153,14 @@ def cmd_dilog(args) -> int:
         print("dilog: arguments must be real numbers", file=sys.stderr)
         return 2
     value = bloch_wigner(z)
-    if cfg.as_json:
+    if args.json:
         print(json.dumps({"z": [z.real, z.imag], "D": value}))
     else:
-        print(_fmt(value, cfg.precision))
+        print(_fmt(value, args.precision))
     return 0
 
 
 def cmd_parse(args) -> int:
-    cfg = _config(args)
     d = _load_diagram(args)
     doc = d.to_json_dict()
     doc["writhe"] = sum(d.signs())
@@ -190,25 +176,18 @@ def cmd_parse(args) -> int:
         lines.append(f"  arc {i}: edges {list(arc)}")
     lines.append(f"regions: {d.n_regions}")
     lines.append(f"writhe: {sum(d.signs())}")
-    _emit(doc, lines, cfg)
+    _emit(doc, lines, args.json)
     return 0
 
 
 def cmd_volume(args) -> int:
-    cfg = _config(args)
     d = _load_diagram(args)
     h = _require_rep(args, d)
     w = _base_meridian(args, h)
-    volume = _reference_volume(d, h, w)
-    s = natural_coloring(d, h)
-    result = phi(d, s, w, volume, tol=cfg.tol)
-    doc, lines = _phi_doc(result, cfg)
-    _emit(doc, lines, cfg)
-    return 0
+    return _print_phi(args, d, h, w, lambda: natural_coloring(d, h))
 
 
 def cmd_invariant(args) -> int:
-    cfg = _config(args)
     d = _load_diagram(args)
     h = _require_rep(args, d)
     if not getattr(args, "coloring", None):
@@ -222,36 +201,30 @@ def cmd_invariant(args) -> int:
         w = h.element(word)
     else:
         w = _base_meridian(args, h)
-    volume = _reference_volume(d, h, w)
-    result = phi(d, s, w, volume, tol=cfg.tol)
-    doc, lines = _phi_doc(result, cfg)
-    _emit(doc, lines, cfg)
-    return 0
+    return _print_phi(args, d, h, w, lambda: s)
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _config(args)
     d = _load_diagram(args)
     h = _require_rep(args, d)
     w = _base_meridian(args, h)
-    tally = tally_colorings(d, h, cfg.depth, cfg.cap, w=w, tol=cfg.tol)
+    tally = tally_colorings(d, h, args.depth, args.cap, w=w)
     doc = tally.to_json_dict()
-    doc["depth"] = cfg.depth
-    lines = [f"colorings: {tally.total} (depth {cfg.depth})"]
+    doc["depth"] = args.depth
+    lines = [f"colorings: {tally.total} (depth {args.depth})"]
     for k in (-1, 0, 1):
         lines.append(f"  k = {k:+d}: {tally.counts.get(k, 0)}")
-    lines.append(f"max residual: {tally.max_residual:.{cfg.precision}e}")
+    lines.append(f"max residual: {tally.max_residual:.{args.precision}e}")
     lines.append(f"truncated: {'yes' if tally.truncated else 'no'}")
-    _emit(doc, lines, cfg)
+    _emit(doc, lines, args.json)
     return 0
 
 
 def cmd_symmetry(args) -> int:
-    cfg = _config(args)
     d = _load_diagram(args)
     h_std = _require_rep(args, d)
     h_rev = _load_rep(args, d, reversed_=True)
-    report = symmetry_report(d, h_std, h_rev, cfg.depth, cfg.cap, tol=cfg.tol)
+    report = symmetry_report(d, h_std, h_rev, args.depth, args.cap)
     doc = report.to_json_dict()
 
     def witness_doc(tally, k):
@@ -274,7 +247,7 @@ def cmd_symmetry(args) -> int:
         if witness is not None:
             arcs = ", ".join(f"{i}: {word}" for i, word in witness.items())
             lines.append(f"  witness arcs {{{arcs}}}")
-    _emit(doc, lines, cfg)
+    _emit(doc, lines, args.json)
     return 0
 
 
@@ -289,8 +262,6 @@ _FLAGS = {
     "--coloring": dict(help="coloring JSON file (arc words; region words optional)"),
     "--depth": dict(type=int, default=2, help="conjugation depth"),
     "--cap": dict(type=int, default=100000, help="coloring cap"),
-    "--tol": dict(type=float, default=CLASSIFICATION_TOL,
-                  help="lattice classification tolerance"),
     "--base-meridian": dict(help="word for the base meridian w"),
 }
 
@@ -304,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     files = ("--pd", "--holonomy", "--fixture")
-    state_sum = ("--precision", *files, "--tol", "--base-meridian")
+    state_sum = ("--precision", *files, "--base-meridian")
     # each subcommand takes only the flags it reads
     for name, func, help_text, flags in [
         ("dilog", cmd_dilog, "evaluate the Bloch-Wigner function D",
@@ -317,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("enumerate", cmd_enumerate, "classify all pool colorings",
          (*state_sum, "--depth", "--cap")),
         ("symmetry", cmd_symmetry, "bounded symmetry detection",
-         (*files, "--holonomy-reversed", "--tol", "--depth", "--cap")),
+         (*files, "--holonomy-reversed", "--depth", "--cap")),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -330,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except OutOfLattice as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -444,6 +444,8 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
         raw = doc["matrices"]
     except (KeyError, TypeError) as exc:
         raise BadMatrix(f"malformed holonomy document: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise BadMatrix(f"matrices must be an object, not {raw!r}")
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and len(set(names)) == len(names)):
         raise BadMatrix(f"generators must be a list of distinct names, not {names!r}")

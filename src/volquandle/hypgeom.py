@@ -101,14 +101,14 @@ class MoebiusMap:
     def from_json(cls, rows) -> "MoebiusMap":
         try:
             (a, b), (c, d) = rows
-            return cls(
-                complex(a[0], a[1]),
-                complex(b[0], b[1]),
-                complex(c[0], c[1]),
-                complex(d[0], d[1]),
-            )
+            entries = [complex(x[0], x[1]) for x in (a, b, c, d)]
         except (TypeError, ValueError, IndexError) as exc:
             raise BadMatrix(f"malformed matrix document: {rows!r}") from exc
+        # every comparison with NaN is false, so the determinant guards and
+        # `is_parabolic` would let a NaN entry through
+        if not all(map(cmath.isfinite, entries)):
+            raise BadMatrix(f"matrix entries must be finite: {rows!r}")
+        return cls(*entries)
 
 
 def is_parabolic(m: MoebiusMap) -> bool:

@@ -234,35 +234,32 @@ def phi(
     s: ShadowColoring,
     w: QuandleElement,
     volume: float,
-    tol: float = CLASSIFICATION_TOL,
 ) -> PhiResult:
     """State sum over all crossings, classified onto {-V, 0, +V}."""
     if not 0 < volume < math.inf:
         raise ValueError("reference volume must be positive and finite")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     total = sum(boltzmann_weight(d, s, ci, w) for ci in range(d.n_crossings))
     k = max(-1, min(1, round(total / volume)))
     residual = abs(total - k * volume)
-    if residual >= tol:
+    if residual >= CLASSIFICATION_TOL:
         raise OutOfLattice(total, volume, residual)
     return PhiResult(phi=total, volume=volume, k=k, residual=residual)
 
 
-def iter_colorings(d: Diagram, pool: list[QuandleElement], base_region: int = 0):
+def iter_colorings(d: Diagram, pool: list[QuandleElement]):
     """All valid colorings with arc and base-region colors from the pool.
 
     Deterministic: arc colorings come from `arc_colorings`, in the order
     of its forcing schedule (seed arcs branch over the pool, the crossing
-    rule forces the rest); the base-region color runs through the
-    interned pool in order for each complete arc coloring, so a duplicate
-    in `pool` is one color, as it is in `arc_colorings`.
+    rule forces the rest); the color of region 0, the base region, runs
+    through the interned pool in order for each complete arc coloring, so
+    a duplicate in `pool` is one color, as it is in `arc_colorings`.
     """
     pool = ElementPool(pool).elements
     if not pool:
         return
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
-    walks = d.region_steps_from(base_region)
+    walks = d.region_steps_from(0)
     for arc_colors in arc_colorings(frames, len(d.arcs), pool):
         for base_color in pool:
             region_colors = _extend_regions(walks, arc_colors, base_color.vector)
@@ -314,7 +311,6 @@ def tally_colorings(
     depth: int,
     cap: int,
     w: QuandleElement | None = None,
-    tol: float = CLASSIFICATION_TOL,
 ) -> KTally:
     """Classify the pool colorings at the given conjugation depth.
 
@@ -357,7 +353,7 @@ def tally_colorings(
             truncated = True
             break
         s = ShadowColoring(arc_colors, _extend_regions(walks, arc_colors, base))
-        result = phi(d, s, w, volume, tol)
+        result = phi(d, s, w, volume)
         counted = min(len(pool), cap - total)
         total += counted
         counts[result.k] = counts.get(result.k, 0) + counted
@@ -408,7 +404,6 @@ def symmetry_report(
     h_rev: HolonomyRep | None,
     depth: int,
     cap: int,
-    tol: float = CLASSIFICATION_TOL,
 ) -> SymmetryReport:
     """Detect invertibility and amphicheirality from bounded enumerations.
 
@@ -416,8 +411,8 @@ def symmetry_report(
     negative amphicheirality; over the reversed representation, k = +1
     witnesses invertibility and k = -1 positive amphicheirality.
     """
-    std = tally_colorings(d, h_std, depth, cap, tol=tol)
-    rev = None if h_rev is None else tally_colorings(d, h_rev, depth, cap, tol=tol)
+    std = tally_colorings(d, h_std, depth, cap)
+    rev = None if h_rev is None else tally_colorings(d, h_rev, depth, cap)
     return SymmetryReport(
         negatively_amphicheiral=std.counts.get(-1, 0) > 0,
         invertible=None if rev is None else rev.counts.get(1, 0) > 0,

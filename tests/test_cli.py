@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import volquandle
-from volquandle.cli import main
+from volquandle.cli import build_parser, main
 from volquandle.fixtures import (
     FIG8_HOLONOMY,
     FIG8_HOLONOMY_REVERSED,
@@ -111,12 +112,6 @@ class TestVolume:
         assert doc["k"] in (-1, 0, 1)
         assert doc["residual"] < 1e-6
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
-    def test_nonpositive_or_nonfinite_tol_exit_1(self, capsys, tol):
-        code, _, err = run(capsys, "volume", "--fixture", "fig8", f"--tol={tol}")
-        assert code == 1
-        assert "tol must be positive and finite" in err
-
     def test_missing_holonomy_exit_1(self, capsys, tmp_path):
         pd = tmp_path / "k.pd"
         pd.write_text(FIG8_PD)
@@ -155,6 +150,25 @@ class TestVolume:
         code, out, err = run(capsys, "volume", "--pd", str(pd), "--holonomy", str(hol))
         assert (code, out) == (1, "")
         assert "BadMatrix: generators must be a list of distinct names" in err
+
+    @pytest.mark.parametrize("matrices, message", [
+        ("xyzw", "matrices must be an object"),
+        # json writes these floats as the NaN and Infinity it also reads
+        (dict(FIG8_HOLONOMY["matrices"], x=[[[float("nan"), 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [1.0, 0.0]]]),
+         "matrix entries must be finite"),
+        (dict(FIG8_HOLONOMY["matrices"], x=[[[float("inf"), 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [1.0, 0.0]]]),
+         "matrix entries must be finite"),
+    ], ids=["text", "NaN entry", "Infinity entry"])
+    def test_malformed_matrices_exit_1(self, capsys, tmp_path, matrices, message):
+        hol = tmp_path / "h.json"
+        hol.write_text(json.dumps(dict(FIG8_HOLONOMY, matrices=matrices)))
+        pd = tmp_path / "k.pd"
+        pd.write_text(FIG8_PD)
+        code, out, err = run(capsys, "volume", "--pd", str(pd), "--holonomy", str(hol))
+        assert (code, out) == (1, "")
+        assert f"BadMatrix: {message}" in err
 
     def test_wrong_declared_volume_exit_2(self, capsys, tmp_path):
         doc = dict(FIG8_HOLONOMY)
@@ -371,6 +385,20 @@ class TestSymmetry:
         assert doc["invertible"] == "not computed"
         assert doc["positively_amphicheiral"] == "not computed"
 
+    def test_wrong_declared_volume_reports_no_flag(self, capsys, tmp_path):
+        # Phi = +-2.03 lies 1.03 off the lattice {-1, 0, +1} of V = 1
+        pd = tmp_path / "k.pd"
+        pd.write_text(FIG8_PD)
+        argv = ["symmetry", "--pd", str(pd), "--depth", "1", "--json"]
+        for flag, holonomy in (("--holonomy", FIG8_HOLONOMY),
+                               ("--holonomy-reversed", FIG8_HOLONOMY_REVERSED)):
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(dict(holonomy, volume=1.0)))
+            argv += [flag, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "state sum" in err
+
 
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""
@@ -384,12 +412,38 @@ class TestFlags:
         ["invariant", "--cap", "5"],
         ["symmetry", "--base-meridian", "y"],
         ["symmetry", "--precision", "3"],
+        *([command, "--tol", "1e-6"]
+          for command in ("volume", "invariant", "enumerate", "symmetry")),
     ])
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--fixture", "fig8"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    # the CLI table of README.md, with --json and --help left out
+    STATE_SUM = {"--pd", "--holonomy", "--fixture", "--base-meridian", "--precision"}
+    README_TABLE = {
+        "dilog": {"--precision"},
+        "parse": {"--pd", "--fixture"},
+        "volume": STATE_SUM,
+        "invariant": STATE_SUM | {"--coloring"},
+        "enumerate": STATE_SUM | {"--depth", "--cap"},
+        "symmetry": {"--pd", "--holonomy", "--holonomy-reversed", "--fixture",
+                     "--depth", "--cap"},
+    }
+
+    def test_flag_sets_match_the_readme_table(self):
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings}
+            - {"-h", "--help", "--json"}
+            for name, p in commands.items()
+        }
+        assert flags == self.README_TABLE
 
 
 class TestJsonRoundTrip:

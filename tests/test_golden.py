@@ -26,7 +26,22 @@ CASES = {
     },
     "enumerate-fig8-d2.json": ["enumerate", "--fixture", "fig8", "--depth", "2",
                                "--json"],
-    "volume-fig8.json": ["volume", "--fixture", "fig8", "--json"],
+    "enumerate-fig8-d2.txt": ["enumerate", "--fixture", "fig8", "--depth", "2"],
+    **{
+        f"volume-fig8.{ext}": ["volume", "--fixture", "fig8", *flag]
+        for ext, flag in (("json", ["--json"]), ("txt", []))
+    },
+    # the coloring is the depth-2 negatively_amphicheiral witness of
+    # symmetry-fig8-d2.json, replayed as {"arcs": witness}
+    **{
+        f"invariant-fig8-d2-negative.{ext}": ["invariant", "--fixture", "fig8",
+                                              "--coloring", "{witness}", *flag]
+        for ext, flag in (("json", ["--json"]), ("txt", []))
+    },
+    **{
+        f"dilog-half-half.{ext}": ["dilog", "0.5", "0.5", *flag]
+        for ext, flag in (("json", ["--json"]), ("txt", []))
+    },
     **{
         f"symmetry-fig8-r2-d{d}.json": ["symmetry", "--fixture", "fig8",
                                         "--pd", "{r2}", "--depth", str(d), "--json"]
@@ -51,7 +66,12 @@ def assert_matches(got, want, path="$"):
 def test_cli_output_matches_golden(capsys, tmp_path, name):
     r2 = tmp_path / "fig8_r2.pd"
     r2.write_text(FIG8_PD_R2)
-    argv = [arg.format(r2=r2) for arg in CASES[name]]
+    symmetry = json.loads((GOLDEN / "symmetry-fig8-d2.json").read_text())
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(
+        {"arcs": symmetry["witnesses"]["negatively_amphicheiral"]}
+    ))
+    argv = [arg.format(r2=r2, witness=witness) for arg in CASES[name]]
     assert main(argv) == 0
     out = capsys.readouterr().out
     want = (GOLDEN / name).read_text()

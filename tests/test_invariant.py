@@ -17,6 +17,7 @@ from volquandle.holquandle import (
 )
 from volquandle import invariant
 from volquandle.invariant import (
+    CLASSIFICATION_TOL,
     boltzmann_weight,
     cocycle_residuals,
     cocycle_vol,
@@ -190,11 +191,19 @@ class TestPhi:
         with pytest.raises(ValueError, match="finite"):
             phi(fig8, s, w, volume)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
-    def test_rejects_nonpositive_or_nonfinite_tol(self, fig8, rep, w, tol):
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_accepts_a_volume_inside_the_tolerance(self, fig8, rep, w, offset):
         s = natural_coloring(fig8, rep)
-        with pytest.raises(ValueError):
-            phi(fig8, s, w, FIG8_VOLUME, tol=tol)
+        total = phi(fig8, s, w, FIG8_VOLUME).phi
+        result = phi(fig8, s, w, total + offset * CLASSIFICATION_TOL)
+        assert result.k == 1
+
+    @pytest.mark.parametrize("offset", [-2.0, 2.0])
+    def test_rejects_a_volume_outside_the_tolerance(self, fig8, rep, w, offset):
+        s = natural_coloring(fig8, rep)
+        total = phi(fig8, s, w, FIG8_VOLUME).phi
+        with pytest.raises(OutOfLattice):
+            phi(fig8, s, w, total + offset * CLASSIFICATION_TOL)
 
     def test_mirror_negates(self, rep, w):
         mirror = parse_pd(FIG8_MIRROR_PD)
