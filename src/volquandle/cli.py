@@ -14,11 +14,12 @@ import sys
 
 from .diagram import Diagram, parse_pd
 from .dilog import bloch_wigner
-from .errors import ColoringInvalid, InputError, OutOfLattice, VolquandleError
+from .errors import InputError, OutOfLattice, VolquandleError
 from .fixtures import FIXTURES
-from .holquandle import HolonomyRep, QuandleElement, load_holonomy
+from .holquandle import HolonomyRep, load_holonomy
 from .invariant import (
     coloring_from_doc,
+    first_generator,
     natural_coloring,
     phi,
     reference_volume,
@@ -101,20 +102,6 @@ def _require_rep(args, d: Diagram) -> HolonomyRep:
     return h
 
 
-def _base_meridian(args, h: HolonomyRep) -> QuandleElement:
-    text = getattr(args, "base_meridian", None)
-    if text is None:
-        text = h.generators[0]
-    return h.element(text)
-
-
-def _reference_volume(d: Diagram, h: HolonomyRep, w: QuandleElement) -> float:
-    try:
-        return reference_volume(h, d, w)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -123,9 +110,13 @@ def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _print_phi(args, d: Diagram, h: HolonomyRep, w: QuandleElement, coloring) -> int:
+def _print_phi(args, d: Diagram, h: HolonomyRep, coloring) -> int:
     """Phi of `coloring()`, which is built once the reference volume is known."""
-    volume = _reference_volume(d, h, w)
+    w = first_generator(h)
+    try:
+        volume = reference_volume(h, d, w)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     result = phi(d, coloring(), w, volume)
     p = args.precision
     doc = {
@@ -183,8 +174,7 @@ def cmd_parse(args) -> int:
 def cmd_volume(args) -> int:
     d = _load_diagram(args)
     h = _require_rep(args, d)
-    w = _base_meridian(args, h)
-    return _print_phi(args, d, h, w, lambda: natural_coloring(d, h))
+    return _print_phi(args, d, h, lambda: natural_coloring(d, h))
 
 
 def cmd_invariant(args) -> int:
@@ -192,23 +182,14 @@ def cmd_invariant(args) -> int:
     h = _require_rep(args, d)
     if not getattr(args, "coloring", None):
         raise InputError("no coloring given: use --coloring FILE")
-    coloring_doc = _read_json(args.coloring)
-    s = coloring_from_doc(d, h, coloring_doc)
-    if getattr(args, "base_meridian", None) is None and "base_meridian" in coloring_doc:
-        word = coloring_doc["base_meridian"]
-        if not isinstance(word, str):
-            raise ColoringInvalid(f"base_meridian must be a word, not {word!r}")
-        w = h.element(word)
-    else:
-        w = _base_meridian(args, h)
-    return _print_phi(args, d, h, w, lambda: s)
+    s = coloring_from_doc(d, h, _read_json(args.coloring))
+    return _print_phi(args, d, h, lambda: s)
 
 
 def cmd_enumerate(args) -> int:
     d = _load_diagram(args)
     h = _require_rep(args, d)
-    w = _base_meridian(args, h)
-    tally = tally_colorings(d, h, args.depth, args.cap, w=w)
+    tally = tally_colorings(d, h, args.depth, args.cap)
     doc = tally.to_json_dict()
     doc["depth"] = args.depth
     lines = [f"colorings: {tally.total} (depth {args.depth})"]
@@ -259,10 +240,9 @@ _FLAGS = {
     "--holonomy": dict(help="holonomy JSON file"),
     "--holonomy-reversed": dict(help="reversed-orientation holonomy JSON"),
     "--fixture": dict(help="built-in fixture name (fig8)"),
-    "--coloring": dict(help="coloring JSON file (arc words; region words optional)"),
+    "--coloring": dict(help="coloring JSON file (arc words)"),
     "--depth": dict(type=int, default=2, help="conjugation depth"),
     "--cap": dict(type=int, default=100000, help="coloring cap"),
-    "--base-meridian": dict(help="word for the base meridian w"),
 }
 
 
@@ -275,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     files = ("--pd", "--holonomy", "--fixture")
-    state_sum = ("--precision", *files, "--base-meridian")
+    state_sum = ("--precision", *files)
     # each subcommand takes only the flags it reads
     for name, func, help_text, flags in [
         ("dilog", cmd_dilog, "evaluate the Bloch-Wigner function D",

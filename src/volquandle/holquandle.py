@@ -413,10 +413,11 @@ def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
     """Arc coloring words realizing the diagram's Wirtinger generators.
 
     The first coloring from `arc_colorings` (relation: `crossing_image`)
-    that uses every generator, so the declared matrices really are
-    Wirtinger images. With as many arcs as generators the pool is the
-    generators alone and such a coloring is a bijection; otherwise it is
-    the depth-1 conjugate pool. A reversed-orientation representation
+    whose colors include every generator's vector, so the declared
+    matrices really are Wirtinger images. With as many arcs as generators
+    the pool is the generators alone; otherwise it is the depth-1
+    conjugate pool. Generators with equal vectors are one pool element,
+    under the first one's word. A reversed-orientation representation
     satisfies the relations with every crossing sign negated.
     """
     flip = -1 if h.orientation == "reversed" else +1
@@ -424,12 +425,11 @@ def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
     frames = [f._replace(sign=flip * f.sign) for f in frames]
     n_arcs = len(d.arcs)
     pool = enumerate_conjugates(h, 0 if len(h.generators) == n_arcs else 1)
-    # the pool begins with the generators and colors are pool elements, so
-    # an arc colored by a generator carries that generator's own word
+    generators = [g.vector for g in h.generator_elements()]
     for coloring in arc_colorings(frames, n_arcs, pool):
-        words = tuple(word_to_text(coloring[a].word) for a in range(n_arcs))
-        if set(h.generators) <= set(words):
-            return words
+        colors = [e.vector for e in coloring.values()]
+        if all(any(vectors_equal(g, c) for c in colors) for g in generators):
+            return tuple(word_to_text(coloring[a].word) for a in range(n_arcs))
     return None
 
 

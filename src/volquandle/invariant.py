@@ -26,7 +26,7 @@ import random
 from typing import NamedTuple
 
 from .diagram import Diagram
-from .errors import ColoringInvalid, InconsistentExtension, OutOfLattice
+from .errors import ColoringInvalid, InconsistentExtension, InputError, OutOfLattice
 from .hypgeom import ideal_tet_volume, unit
 from .holquandle import (
     ElementPool,
@@ -150,6 +150,15 @@ def validate_coloring(d: Diagram, s: ShadowColoring) -> list[str]:
     return violations
 
 
+def first_generator(h: HolonomyRep) -> QuandleElement:
+    """w, and the color of region 0, in every state sum the package takes.
+
+    Phi depends on neither choice (see `tally_colorings`), so neither is
+    an input.
+    """
+    return h.element(((h.generators[0], 1),))
+
+
 def _extend_regions(
     walks, arc_colors: dict[int, QuandleElement], base: Vector
 ) -> dict[int, Vector]:
@@ -181,7 +190,7 @@ def natural_coloring(
         )
     arc_colors = {i: h.element(text) for i, text in enumerate(h.arc_generators)}
     if base_color is None:
-        base_color = h.element(((h.generators[0], 1),))
+        base_color = first_generator(h)
     walks = d.region_steps_from(base_region)
     region_colors = _extend_regions(walks, arc_colors, base_color.vector)
     s = ShadowColoring(arc_colors, region_colors)
@@ -194,22 +203,20 @@ def natural_coloring(
 def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
     """Build a ShadowColoring from its JSON document; raises on violations.
 
-    The document is {"arcs": {id: word}, "regions": {id: word}}. Without
-    "regions", the regions are walked from region 0 colored by the first
-    generator, the base of `natural_coloring` and `tally_colorings`.
+    The document is {"arcs": {id: word}} and holds no other key. The
+    regions are walked from region 0 colored by `first_generator`.
     """
     try:
         arc_colors = {int(i): h.element(t) for i, t in doc["arcs"].items()}
-        regions = doc.get("regions")
-        if regions is not None:
-            region_colors = {int(i): h.element(t).vector for i, t in regions.items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ColoringInvalid(f"malformed coloring document: {exc!r}") from exc
+    unknown = sorted(set(doc) - {"arcs"})
+    if unknown:
+        raise ColoringInvalid(f'unknown key {unknown[0]!r}: a coloring holds only "arcs"')
     if sorted(arc_colors) != list(range(len(d.arcs))):
         raise ColoringInvalid(f"arcs {sorted(arc_colors)} are not 0..{len(d.arcs) - 1}")
-    if regions is None:
-        base = h.element(((h.generators[0], 1),)).vector
-        region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
+    base = first_generator(h).vector
+    region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
     s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
@@ -310,17 +317,17 @@ def tally_colorings(
     h: HolonomyRep,
     depth: int,
     cap: int,
-    w: QuandleElement | None = None,
 ) -> KTally:
     """Classify the pool colorings at the given conjugation depth.
 
     The colorings counted are those of `iter_colorings`, in its order and
     up to `cap`: every arc coloring from the pool times every pool element
     as the base-region color. Phi is evaluated once per arc coloring, with
-    base color `pool[0]`, and its k counts for all |pool| base colors
-    (fewer when the cap cuts the block). `truncated`, the counts and the
-    first witness of each k (the base-`pool[0]` coloring of the first arc
-    coloring with that k) are what a Phi for every coloring would give.
+    w and the base color both `first_generator(h)`, which is `pool[0]`,
+    and its k counts for all |pool| base colors (fewer when the cap cuts
+    the block). `truncated`, the counts and the first witness of each k
+    (the base-`pool[0]` coloring of the first arc coloring with that k)
+    are what a Phi for every coloring would give.
 
     One Phi serves every base color because Phi is the volume of the
     representation, read off an ideal triangulation whose vertices are
@@ -333,16 +340,15 @@ def tally_colorings(
     relation of D the volume of the closed chain does not depend on where
     they sit; the same argument frees Phi of w. Every reported k and
     witness still rests on a lattice-checked Phi, and
-    `TestBasePointIndependence` in the tests evaluates every base color
-    at depth 1.
+    `TestBasePointIndependence` in the tests evaluates every base color,
+    and every pool element as w, at depth 1.
     """
     pool = enumerate_conjugates(h, depth)
-    if w is None:
-        w = h.element(((h.generators[0], 1),))
+    w = first_generator(h)
     volume = reference_volume(h, d, w)
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
     walks = d.region_steps_from(0)
-    base = pool[0].vector
+    base = w.vector
     counts: dict[int, int] = {}
     witness: dict[int, ShadowColoring] = {}
     max_residual = 0.0
@@ -409,8 +415,12 @@ def symmetry_report(
 
     A coloring over the standard representation with k = -1 witnesses
     negative amphicheirality; over the reversed representation, k = +1
-    witnesses invertibility and k = -1 positive amphicheirality.
+    witnesses invertibility and k = -1 positive amphicheirality, so each
+    representation must carry the orientation tag of its slot.
     """
+    for h, tag in ((h_std, "standard"), (h_rev, "reversed")):
+        if h is not None and h.orientation != tag:
+            raise InputError(f"the {tag} holonomy is tagged {h.orientation!r}")
     std = tally_colorings(d, h_std, depth, cap)
     rev = None if h_rev is None else tally_colorings(d, h_rev, depth, cap)
     return SymmetryReport(

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from volquandle.fixtures import (
     FIG8_HOLONOMY,
     FIG8_HOLONOMY_REVERSED,
     FIG8_PD,
+    FIG8_PD_R2,
     FIG8_VOLUME,
 )
 from volquandle.invariant import tally_colorings
@@ -103,14 +105,27 @@ class TestVolume:
         assert doc["k"] == 1
         assert abs(doc["phi"] - FIG8_VOLUME) < 1e-6
 
-    def test_other_base_meridian_stays_on_lattice(self, capsys):
-        code, out, _ = run(
-            capsys, "volume", "--fixture", "fig8", "--base-meridian", "y", "--json"
-        )
+    def test_one_generator_per_arc(self, capsys, tmp_path):
+        # the R2 diagram, one generator per arc: e and f repeat c's and d's
+        # matrices, and no volume is declared, so the natural coloring sets V
+        names = dict(zip("abcdef", ("y", "z", "w", "x", "w", "x")))
+        pd, hol = tmp_path / "k.pd", tmp_path / "h.json"
+        pd.write_text(FIG8_PD_R2)
+        hol.write_text(json.dumps({
+            "generators": list(names),
+            "matrices": {n: FIG8_HOLONOMY["matrices"][g] for n, g in names.items()},
+        }))
+        inputs = ["--pd", str(pd), "--holonomy", str(hol), "--json"]
+        code, out, _ = run(capsys, "volume", *inputs)
         assert code == 0
         doc = json.loads(out)
-        assert doc["k"] in (-1, 0, 1)
-        assert doc["residual"] < 1e-6
+        assert doc["k"] == 1
+        assert abs(doc["phi"] - FIG8_VOLUME) < 1e-9
+        code, out, _ = run(capsys, "enumerate", *inputs, "--depth", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["k_counts"] == {"-1": 192, "0": 256, "1": 288}
+        assert doc["total_colorings"] == 736
 
     def test_missing_holonomy_exit_1(self, capsys, tmp_path):
         pd = tmp_path / "k.pd"
@@ -222,9 +237,10 @@ class TestInvariant:
         ({"arcs": dict(ARCS, **{"7": "x"})}, "arcs [0, 1, 2, 3, 7] are not 0..3"),
         ({"regions": {}}, "malformed coloring document"),
         ({"arcs": dict(ARCS, two="x")}, "malformed coloring document"),
-        # every region "x": the rule fails on every edge whose arc is not x
-        ({"arcs": ARCS, "regions": {str(r): "x" for r in range(6)}}, "region rule"),
-    ], ids=["missing arc", "unknown arc", "regions only", "arc id text", "region rule"])
+        # region colors are no input, even ones that break the region rule
+        ({"arcs": ARCS, "regions": {str(r): "x" for r in range(6)}},
+         "unknown key 'regions'"),
+    ], ids=["missing arc", "unknown arc", "regions only", "arc id text", "regions key"])
     def test_bad_document_is_coloring_invalid(self, capsys, tmp_path, doc, message):
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps(doc))
@@ -237,23 +253,24 @@ class TestInvariant:
 
     @pytest.mark.parametrize("base", [5, None, []], ids=["int", "null", "list"])
     def test_base_meridian_not_a_word(self, capsys, tmp_path, base):
+        # w is no input: "base_meridian" is an unknown key, a word or not
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps({"arcs": self.ARCS, "base_meridian": base}))
         code, out, err = run(
             capsys, "invariant", "--fixture", "fig8", "--coloring", str(path)
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: ColoringInvalid: base_meridian must be a word")
+        assert err.startswith("error: ColoringInvalid: unknown key 'base_meridian'")
 
     def test_base_meridian_word(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps({"arcs": self.ARCS, "base_meridian": "x"}))
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "invariant", "--fixture", "fig8",
             "--coloring", str(path), "--json",
         )
-        assert code == 0
-        assert json.loads(out)["k"] == -1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ColoringInvalid: unknown key 'base_meridian'")
 
 
 class TestReplayableWitnesses:
@@ -399,6 +416,25 @@ class TestSymmetry:
         assert (code, out) == (2, "")
         assert "state sum" in err
 
+    @pytest.mark.parametrize("holonomy, message", [
+        (FIG8_HOLONOMY, "the reversed holonomy is tagged 'standard'"),
+        (FIG8_HOLONOMY_REVERSED, "the standard holonomy is tagged 'reversed'"),
+    ], ids=["std twice", "rev twice"])
+    def test_document_in_the_wrong_slot_exit_1(
+        self, capsys, tmp_path, holonomy, message
+    ):
+        # one document in both slots: read as the other orientation, its
+        # generator coloring (k = +1 on any knot) would witness a flag
+        pd, hol = tmp_path / "k.pd", tmp_path / "h.json"
+        pd.write_text(FIG8_PD)
+        hol.write_text(json.dumps(holonomy))
+        code, out, err = run(
+            capsys, "symmetry", "--pd", str(pd), "--holonomy", str(hol),
+            "--holonomy-reversed", str(hol), "--depth", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: InputError: {message}\n"
+
 
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""
@@ -414,6 +450,8 @@ class TestFlags:
         ["symmetry", "--precision", "3"],
         *([command, "--tol", "1e-6"]
           for command in ("volume", "invariant", "enumerate", "symmetry")),
+        *([command, "--base-meridian", "y"]
+          for command in ("volume", "invariant", "enumerate")),
     ])
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -421,17 +459,16 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    # the CLI table of README.md, with --json and --help left out
-    STATE_SUM = {"--pd", "--holonomy", "--fixture", "--base-meridian", "--precision"}
-    README_TABLE = {
-        "dilog": {"--precision"},
-        "parse": {"--pd", "--fixture"},
-        "volume": STATE_SUM,
-        "invariant": STATE_SUM | {"--coloring"},
-        "enumerate": STATE_SUM | {"--depth", "--cap"},
-        "symmetry": {"--pd", "--holonomy", "--holonomy-reversed", "--fixture",
-                     "--depth", "--cap"},
-    }
+    @staticmethod
+    def readme_table() -> dict[str, set[str]]:
+        """The CLI table of README.md: subcommand -> flags besides --json."""
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = text.split("| subcommand | flags besides `--json` |\n|---|---|\n")[1]
+        table = {}
+        for row in rows.split("\n\n")[0].splitlines():
+            name, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+            table[name] = set(re.findall(r"`(--[a-z-]+)", flags))
+        return table
 
     def test_flag_sets_match_the_readme_table(self):
         parser = build_parser()
@@ -443,7 +480,7 @@ class TestFlags:
             - {"-h", "--help", "--json"}
             for name, p in commands.items()
         }
-        assert flags == self.README_TABLE
+        assert flags == self.readme_table()
 
 
 class TestJsonRoundTrip:

@@ -537,6 +537,17 @@ class TestLoadHolonomy:
             "y^-1", "z^-1", "w^-1", "x^-1", "w^-1", "x^-1"
         )
 
+    def test_generators_with_equal_vectors_load(self, fig8_r2):
+        # one generator per arc: e and f repeat the matrices of c and d, so
+        # the pool holds four elements and no coloring uses the words e, f
+        names = dict(zip("abcdef", ("y", "z", "w", "x", "w", "x")))
+        doc = {
+            "generators": list(names),
+            "matrices": {n: FIG8_HOLONOMY["matrices"][g] for n, g in names.items()},
+        }
+        h = load_holonomy(doc, fig8_r2)
+        assert h.arc_generators == ("a", "b", "c", "d", "c", "d")
+
     def test_one_generator_on_crossingless_diagram(self):
         doc = {"generators": ["w"], "matrices": {"w": FIG8_HOLONOMY["matrices"]["w"]}}
         assert load_holonomy(doc, parse_pd("")).arc_generators == ("w",)

@@ -22,6 +22,7 @@ from volquandle.invariant import (
     cocycle_residuals,
     cocycle_vol,
     coloring_from_doc,
+    first_generator,
     iter_colorings,
     natural_coloring,
     phi,
@@ -150,17 +151,15 @@ class TestColoringDocuments:
         # the same walk from the same base: the same vectors, bit for bit
         assert again.region_colors == s.region_colors
 
-    def test_region_words_are_read_as_vectors(self, fig8, rep):
-        # the region words the element walk builds, as documents held them
+    def test_region_words_are_an_unknown_key(self, fig8, rep):
+        # the region words the element walk builds, as documents once held them
         s = natural_coloring(fig8, rep)
         walked = element_walk(fig8.region_steps_from(0), s.arc_colors, rep.element("x"))
         doc = dict(s.to_json_dict(), regions={
             str(i): word_to_text(e.word) for i, e in walked.items()
         })
-        again = coloring_from_doc(fig8, rep, doc)
-        assert set(again.region_colors) == set(s.region_colors)
-        for i, v in s.region_colors.items():
-            assert vectors_equal(again.region_colors[i], v)
+        with pytest.raises(ColoringInvalid, match="unknown key 'regions'"):
+            coloring_from_doc(fig8, rep, doc)
 
     def test_invalid_document_rejected(self, fig8, rep):
         s = natural_coloring(fig8, rep)
@@ -396,6 +395,32 @@ class TestBasePointIndependence:
             assert ks == [ks[0]] * len(pool)
             seen.add(ks[0])
         assert seen == {-1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "holonomy", [FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED], ids=["std", "rev"]
+    )
+    @pytest.mark.parametrize("diagram", ["fig8", "fig8_r2"])
+    def test_every_meridian_gives_the_same_phi(self, request, diagram, holonomy):
+        d = request.getfixturevalue(diagram)
+        h = load_holonomy(holonomy, d)
+        first = first_generator(h)
+        volume = reference_volume(h, d, first)
+        pool = enumerate_conjugates(h, 1)
+        frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
+        walks = d.region_steps_from(0)
+        seen, pairs = set(), 0
+        for arc_colors in arc_colorings(frames, len(d.arcs), pool):
+            regions = invariant._extend_regions(walks, arc_colors, first.vector)
+            s = invariant.ShadowColoring(arc_colors, regions)
+            reference = phi(d, s, first, volume)
+            for w in pool:
+                result = phi(d, s, w, volume)  # each lattice-checked
+                assert result.k == reference.k
+                assert abs(result.phi - reference.phi) < 1e-12
+                pairs += 1
+            seen.add(reference.k)
+        assert seen == {-1, 0, 1}
+        assert pairs == 46 * len(pool)  # 46 arc colorings: 736 = 46 x |pool|
 
 
 class TestRegionWalkOracle:
