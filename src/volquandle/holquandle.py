@@ -1,21 +1,23 @@
 """The knot quandle realized through a holonomy representation.
 
-An element is a group word in the meridian generators together with the
-vector v of the parabolic map +-(I + v v^T J) the word evaluates to,
-J = [[0, 1], [-1, 0]] and v unique up to sign; its fixed point is [v].
-This is the parabolic quandle of Inoue-Kabaya ("Quandle homology and
-complex volume", Geom. Dedicata 171, 2014). The quandle operation is
-conjugation, a * b = b^-1 a b, and on vectors it is a - [b, a] b with
-[b, a] = b0 a1 - b1 a0: three complex products, with no matrix and no
-word. Identity is +-v equality under a relative tolerance, found by the
-fixed point's cell on the Riemann sphere, never by the words.
+A representation is the vector v of each generator's parabolic map
++-(I + v v^T J), J = [[0, 1], [-1, 0]] and v unique up to sign; its
+fixed point is [v]. This is the parabolic quandle of Inoue-Kabaya
+("Quandle homology and complex volume", Geom. Dedicata 171, 2014). The
+quandle operation is conjugation, a * b = b^-1 a b, and on vectors it is
+a - [b, a] b with [b, a] = b0 a1 - b1 a0: three complex products, with
+no matrix and no word. An element is a meridian conjugate g^-1 x g and
+the vector that operation folds along g from x's. Identity is +-v
+equality under a relative tolerance, found by the fixed point's cell on
+the Riemann sphere, never by the words.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadMatrix,
@@ -104,19 +106,18 @@ class QuandleElement:
         return f"QuandleElement({word_to_text(self.word)!r})"
 
 
-@dataclass(frozen=True)
-class HolonomyRep:
-    """Parabolic generator matrices, validated against a companion diagram."""
+class HolonomyRep(NamedTuple):
+    """Parabolic generator vectors, validated against a companion diagram."""
 
     generators: tuple[str, ...]
-    matrices: dict[str, MoebiusMap] = field(compare=False)
+    vectors: dict[str, Vector]
     orientation: str = "standard"
     volume: float | None = None
     arc_generators: tuple[str, ...] | None = None  # arc id -> generator name
 
-    def matrix(self, name: str) -> MoebiusMap:
+    def vector(self, name: str) -> Vector:
         try:
-            return self.matrices[name]
+            return self.vectors[name]
         except KeyError:
             raise UnknownGenerator(f"unknown generator {name!r}") from None
 
@@ -125,24 +126,28 @@ class HolonomyRep:
         if isinstance(word, str):
             word = word_from_text(word, names=self.generators)
         word = reduce_word(word)
-        m = evaluate(self, word)
-        if not is_parabolic(m):
-            raise NotParabolic(
-                f"word {word_to_text(word)!r} does not evaluate to a parabolic map"
-            )
-        return QuandleElement(word, parabolic_vector(m))
+        return QuandleElement(word, evaluate(self, word))
 
     def generator_elements(self) -> list[QuandleElement]:
         return [self.element(((name, 1),)) for name in self.generators]
 
 
-def evaluate(h: HolonomyRep, word: GroupWord) -> MoebiusMap:
-    """Homomorphism extension: ordered product of generator matrices."""
-    m = MoebiusMap.identity()
-    for name, exp in word:
-        g = h.matrix(name)
-        m = m.compose(g if exp == 1 else g.inverse())
-    return m
+def evaluate(h: HolonomyRep, word: GroupWord) -> Vector:
+    """The vector of a reduced word g^-1 x g, x a generator.
+
+    v_x folded through `crossing_image(v, v_l, e)` for each letter (l, e)
+    of g, as `enumerate_conjugates` chains it, so a pool word gives its
+    element's vector bit for bit. Any other word raises NotParabolic.
+    """
+    half = len(word) // 2
+    x, g = word[half:half + 1], word[half + 1:]
+    if not (x and x[0][1] == 1 and word == invert_word(g) + x + g
+            and {exp for _, exp in g} <= {1, -1}):
+        raise NotParabolic(f"word {word_to_text(word)!r} is not g^-1 x g")
+    v = h.vector(x[0][0])
+    for name, exp in g:
+        v = crossing_image(v, h.vector(name), exp)
+    return v
 
 
 def crossing_image(under: Vector, over: Vector, sign: int) -> Vector:
@@ -243,27 +248,24 @@ def enumerate_conjugates(h: HolonomyRep, depth: int) -> list[QuandleElement]:
     one new at L - 1 (had that one appeared sooner, so would its
     conjugate), and its first word is that one's first g followed by l.
     So each length extends only the elements new at the one before, by g,
-    then l, then x: the order of their first words. Vectors are chained:
-    that of (g l)^-1 x (g l) is M_l^-1 applied to that of g^-1 x g. A
-    candidate's word is built only when its vector is new to the pool.
+    then l, then x: the order of their first words. Vectors are chained as
+    `evaluate` folds them: that of (g l)^-1 x (g l), l = (name, e), is
+    `crossing_image(v, v_name, e)` of that of g^-1 x g. A candidate's word
+    is built only when its vector is new to the pool.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    pullbacks = []  # (letter l, M_l^-1)
-    for name in h.generators:
-        m = h.matrix(name)
-        pullbacks.append(((name, 1), m.inverse()))
-        pullbacks.append(((name, -1), m))
+    letters = [(name, e, h.vector(name)) for name in h.generators for e in (1, -1)]
 
     def extend(fresh):
         """The candidates one letter longer than `fresh`, in word order."""
         for g, group in itertools.groupby(fresh, key=lambda e: e[0]):
             group = list(group)
-            for letter, m in pullbacks:
-                if not g or g[-1] != (letter[0], -letter[1]):
-                    gl = g + (letter,)
-                    for _, x, (v0, v1) in group:
-                        yield gl, x, (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1)
+            for name, e, over in letters:
+                if not g or g[-1] != (name, -e):
+                    gl = g + ((name, e),)
+                    for _, x, v in group:
+                        yield gl, x, crossing_image(v, over, e)
 
     pool = ElementPool()
     candidates = [((), x.word, x.vector) for x in h.generator_elements()]
@@ -453,28 +455,24 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
     orientation = doc.get("orientation", "standard")
     if orientation not in ("standard", "reversed"):
         raise BadMatrix(f"unknown orientation tag {orientation!r}")
-    matrices = {}
+    vectors = {}
     for name in names:
         if name not in raw:
             raise BadMatrix(f"no matrix for generator {name!r}")
         m = MoebiusMap.from_json(raw[name])
         if not is_parabolic(m):
             raise NotParabolic(f"generator {name!r} is not parabolic")
-        matrices[name] = m
+        vectors[name] = parabolic_vector(m)
     volume = doc.get("volume")
     finite = type(volume) in (int, float) and 0 < volume < math.inf
     if volume is not None and not finite:
         raise BadMatrix(f"declared volume {volume!r} is not a finite positive number")
-    rep = HolonomyRep(
-        generators=names,
-        matrices=matrices,
-        orientation=orientation,
-        volume=None if volume is None else float(volume),
-    )
+    volume = None if volume is None else float(volume)
+    rep = HolonomyRep(names, vectors, orientation, volume)
     assignment = find_arc_assignment(d, rep)
     if assignment is None and d.n_crossings > 0:
         raise RelationViolated(
             "no assignment of generators to arcs satisfies the "
             "crossing relations (up to sign, tolerance 1e-9)"
         )
-    return replace(rep, arc_generators=assignment)
+    return rep._replace(arc_generators=assignment)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from typing import NamedTuple
 
 from .diagram import Diagram
@@ -177,22 +178,15 @@ def _extend_regions(
     return colors
 
 
-def natural_coloring(
-    d: Diagram,
-    h: HolonomyRep,
-    base_region: int = 0,
-    base_color: QuandleElement | None = None,
-) -> ShadowColoring:
+def natural_coloring(d: Diagram, h: HolonomyRep) -> ShadowColoring:
     """Arcs colored by their Wirtinger generators, regions extended."""
     if h.arc_generators is None:
         raise ColoringInvalid(
             "representation has no arc-to-generator assignment for this diagram"
         )
     arc_colors = {i: h.element(text) for i, text in enumerate(h.arc_generators)}
-    if base_color is None:
-        base_color = first_generator(h)
-    walks = d.region_steps_from(base_region)
-    region_colors = _extend_regions(walks, arc_colors, base_color.vector)
+    base = first_generator(h).vector
+    region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
     s = ShadowColoring(arc_colors, region_colors)
     bad = validate_coloring(d, s)
     if bad:
@@ -203,16 +197,23 @@ def natural_coloring(
 def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
     """Build a ShadowColoring from its JSON document; raises on violations.
 
-    The document is {"arcs": {id: word}} and holds no other key. The
-    regions are walked from region 0 colored by `first_generator`.
+    The document is {"arcs": {id: word}} and holds no other key; an id is
+    an arc number as `str` writes it, and a word is text. The regions are
+    walked from region 0 colored by `first_generator`.
     """
     try:
-        arc_colors = {int(i): h.element(t) for i, t in doc["arcs"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        arcs = doc["arcs"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ColoringInvalid(f"malformed coloring document: {exc!r}") from exc
     unknown = sorted(set(doc) - {"arcs"})
     if unknown:
         raise ColoringInvalid(f'unknown key {unknown[0]!r}: a coloring holds only "arcs"')
+    for i, t in arcs:
+        if not (isinstance(i, str) and re.fullmatch("0|[1-9][0-9]*", i)):
+            raise ColoringInvalid(f"malformed coloring document: arc id {i!r}")
+        if not isinstance(t, str):
+            raise ColoringInvalid(f"arc {i!r}: the word {t!r} is not text")
+    arc_colors = {int(i): h.element(t) for i, t in arcs}
     if sorted(arc_colors) != list(range(len(d.arcs))):
         raise ColoringInvalid(f"arcs {sorted(arc_colors)} are not 0..{len(d.arcs) - 1}")
     base = first_generator(h).vector

@@ -240,7 +240,20 @@ class TestInvariant:
         # region colors are no input, even ones that break the region rule
         ({"arcs": ARCS, "regions": {str(r): "x" for r in range(6)}},
          "unknown key 'regions'"),
-    ], ids=["missing arc", "unknown arc", "regions only", "arc id text", "regions key"])
+        # a word is text: a letter pair's exponent would reach the fold as a sign
+        *[({"arcs": {"0": "x", "1": "z", "2": "y",
+                     "3": [["y", 1], ["x", 1], ["y", exp]]}},
+           "arc '3': the word") for exp in (2, "-1", -1.0)],
+        # an id is the arc number as written by `symmetry`, and names one arc
+        ({"arcs": {"0": "y", "00": "y", "1": "z", "2": "w", "3": "x"}},
+         "arc id '00'"),
+        ({"arcs": {"0": "x", " 1": "y", "2": "x^-1 y x", "3": "y x^-1 y x y^-1"}},
+         "arc id ' 1'"),
+        ({"arcs": {"0": "x", "1": "y", "+2": "x^-1 y x", "3": "y x^-1 y x y^-1"}},
+         "arc id '+2'"),
+    ], ids=["missing arc", "unknown arc", "regions only", "arc id text", "regions key",
+            "exponent 2", "exponent text", "exponent float", "id 00", "id space",
+            "id plus"])
     def test_bad_document_is_coloring_invalid(self, capsys, tmp_path, doc, message):
         path = tmp_path / "coloring.json"
         path.write_text(json.dumps(doc))

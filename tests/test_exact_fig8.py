@@ -51,9 +51,10 @@ def test_float_pool_equals_exact_pool(request, which, depth):
     exact = exact_pools(which)[depth]
     assert len(exact) == SIZES[depth]
     assert [word_to_text(e.word) for e in pool] == [word_to_text(w) for w, _ in exact]
-    # the chained vectors give the exact matrices to rounding: at most
-    # 2.3e-11 relative at depth 5, as evaluating the words does (2.8e-11),
-    # and far inside the 1e-9 of the identity test
+    # the vectors chained by `crossing_image` give the exact matrices to
+    # rounding: at most 2.1e-11 relative at depth 5 (chained through the
+    # generator matrices, 2.3e-11; words evaluated as matrix products,
+    # 2.8e-11), far inside the 1e-9 of the identity test
     errors = [relative_error(parabolic_map(e.vector), m) for e, (_, m) in zip(pool, exact)]
     assert max(errors) < 1e-10
 

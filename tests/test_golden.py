@@ -3,10 +3,18 @@
 Every key must match exactly, except `max_residual`, a rounding error
 that only has to stay below MAX_RESIDUAL. Text outputs must match byte
 for byte. A change that means to move an answer rewrites the file with
-the CLI command of its case and explains the difference.
+the CLI command of its case and explains the difference:
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+writes each named file from the argv of its case.
 """
 
+import contextlib
+import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -62,8 +70,8 @@ def assert_matches(got, want, path="$"):
         assert got == want, path
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(capsys, tmp_path, name):
+def case_argv(name, tmp_path):
+    """The argv of a case, its {r2} and {witness} files written to tmp_path."""
     r2 = tmp_path / "fig8_r2.pd"
     r2.write_text(FIG8_PD_R2)
     symmetry = json.loads((GOLDEN / "symmetry-fig8-d2.json").read_text())
@@ -71,11 +79,27 @@ def test_cli_output_matches_golden(capsys, tmp_path, name):
     witness.write_text(json.dumps(
         {"arcs": symmetry["witnesses"]["negatively_amphicheiral"]}
     ))
-    argv = [arg.format(r2=r2, witness=witness) for arg in CASES[name]]
-    assert main(argv) == 0
+    return [arg.format(r2=r2, witness=witness) for arg in CASES[name]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, tmp_path, name):
+    assert main(case_argv(name, tmp_path)) == 0
     out = capsys.readouterr().out
     want = (GOLDEN / name).read_text()
     if name.endswith(".json"):
         assert_matches(json.loads(out), json.loads(want))
     else:
         assert out == want
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:]:
+        if name not in CASES:
+            sys.exit(f"no golden case {name!r}")
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            code = main(case_argv(name, Path(tmp)))
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / name).write_text(out.getvalue())

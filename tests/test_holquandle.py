@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,13 @@ from volquandle.errors import (
     UnknownGenerator,
 )
 from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED
-from volquandle.hypgeom import MoebiusMap, parabolic_map, unit
+from volquandle.hypgeom import (
+    MoebiusMap,
+    is_parabolic,
+    parabolic_map,
+    parabolic_vector,
+    unit,
+)
 from volquandle.holquandle import (
     FIXED_POINT_CELL,
     MATRIX_TOL,
@@ -29,7 +36,6 @@ from volquandle.holquandle import (
     arc_colorings,
     crossing_image,
     enumerate_conjugates,
-    evaluate,
     forcing_schedule,
     invert_word,
     load_holonomy,
@@ -42,6 +48,21 @@ from volquandle.holquandle import (
 )
 
 from points import act, bracket
+
+DOCS = {"rep": FIG8_HOLONOMY, "rep_reversed": FIG8_HOLONOMY_REVERSED}
+
+
+def word_matrix(doc, word) -> MoebiusMap:
+    """The document's generator matrices multiplied along a word.
+
+    The oracle for element vectors: `parabolic_vector` of it is the
+    word's vector up to rounding.
+    """
+    m = MoebiusMap.identity()
+    for name, exp in word:
+        g = MoebiusMap.from_json(doc["matrices"][name])
+        m = m.compose(g if exp == 1 else g.inverse())
+    return m
 
 
 class TestWords:
@@ -76,19 +97,28 @@ class TestRepresentation:
 
     def test_unknown_generator(self, rep):
         with pytest.raises(UnknownGenerator):
-            rep.matrix("q")
+            rep.vector("q")
 
-    def test_word_evaluation_is_homomorphism(self, rep):
-        u = word_from_text("x y")
-        v = word_from_text("z w^-1")
-        lhs = evaluate(rep, reduce_word(u + v))
-        rhs = evaluate(rep, u).compose(evaluate(rep, v))
-        assert lhs.eq_up_to_sign(rhs, 1e-12)
+    @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
+    def test_pool_vectors_are_the_matrix_products(self, request, which):
+        pool = enumerate_conjugates(request.getfixturevalue(which), 3)
+        assert len(pool) == 292
+        for e in pool:
+            oracle = parabolic_vector(word_matrix(DOCS[which], e.word))
+            assert vectors_equal(e.vector, oracle), word_to_text(e.word)
 
     def test_non_parabolic_word_rejected(self, rep):
         # x y is loxodromic in the figure-eight group
         with pytest.raises(NotParabolic):
             rep.element("x y")
+
+    # parabolic matrices, but no conjugate g^-1 x g of a generator x:
+    # P_x^2 = P_(sqrt(2) v_x), and x^-1 is P_(i v_x)
+    @pytest.mark.parametrize("text", ["x x", "x^-1", "y^-1 x^-1 y"])
+    def test_word_that_is_no_conjugate_rejected(self, rep, text):
+        assert is_parabolic(word_matrix(FIG8_HOLONOMY, word_from_text(text)))
+        with pytest.raises(NotParabolic, match=re.escape(f"word '{text}' is not")):
+            rep.element(text)
 
 
 class TestQuandleAxioms:
@@ -149,16 +179,15 @@ FIG8_DEPTH_FOUR_DIGEST = (
 class TestVectorOperation:
     @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
     def test_matrix_of_op_is_the_evaluated_conjugate(self, request, which):
-        """P_v of a * b is b^-1 a b evaluated, and of a *^-1 b, b a b^-1."""
-        h = request.getfixturevalue(which)
-        pool = enumerate_conjugates(h, 1)
+        """P_v of a * b is the matrix of b^-1 a b, and of a *^-1 b, b a b^-1."""
+        pool = enumerate_conjugates(request.getfixturevalue(which), 1)
         for a, b in itertools.product(pool, repeat=2):
             conj = invert_word(b.word) + a.word + b.word
             op = parabolic_map(quandle_op(a, b).vector)
-            assert op.eq_up_to_sign(evaluate(h, conj))
+            assert op.eq_up_to_sign(word_matrix(DOCS[which], conj))
             conj_inv = b.word + a.word + invert_word(b.word)
             op_inv = parabolic_map(quandle_op_inv(a, b).vector)
-            assert op_inv.eq_up_to_sign(evaluate(h, conj_inv))
+            assert op_inv.eq_up_to_sign(word_matrix(DOCS[which], conj_inv))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("which", ["rep", "rep_reversed"])
@@ -210,27 +239,22 @@ def word_walk_pool(h, depth):
     """The conjugate pool from every reduced word g, depth first.
 
     Words g of each length in lexicographic letter order x, x^-1, y, ...,
-    the generators in order for each g, vectors chained through M_l^-1; a
-    candidate is kept when its vector is new. It walks every word, so it
-    does not rest on which elements are new at a length.
+    the generators in order for each g, vectors chained letter by letter
+    with `crossing_image`; a candidate is kept when its vector is new. It
+    walks every word, so it does not rest on which elements are new at a
+    length.
     """
     base = h.generator_elements()
-    pullbacks = []
-    for name in h.generators:
-        m = h.matrix(name)
-        pullbacks.append(((name, 1), m.inverse()))
-        pullbacks.append(((name, -1), m))
+    letters = [(name, e) for name in h.generators for e in (1, -1)]
 
     def extend(g, vectors, length):
         if length == 0:
             yield g, vectors
             return
-        for letter, m in pullbacks:
-            if not g or g[-1] != (letter[0], -letter[1]):
-                moved = [
-                    (m.a * v0 + m.b * v1, m.c * v0 + m.d * v1) for v0, v1 in vectors
-                ]
-                yield from extend(g + (letter,), moved, length - 1)
+        for name, e in letters:
+            if not g or g[-1] != (name, -e):
+                moved = [crossing_image(v, h.vector(name), e) for v in vectors]
+                yield from extend(g + ((name, e),), moved, length - 1)
 
     pool = ElementPool()
     for length in range(depth + 1):
@@ -240,6 +264,22 @@ def word_walk_pool(h, depth):
                     word = reduce_word(invert_word(g) + x.word + g)
                     pool.add(QuandleElement(word, v))
     return pool.elements
+
+
+class TestReplay:
+    """A pool word names its element's vector, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "holonomy", [FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED], ids=["std", "rev"]
+    )
+    @pytest.mark.parametrize("diagram", ["fig8", "fig8_r2"])
+    def test_depth_four_pool_words_replay(self, request, diagram, holonomy):
+        h = load_holonomy(holonomy, request.getfixturevalue(diagram))
+        pool = enumerate_conjugates(h, 4)
+        assert len(pool) == 1256
+        # through the word text, as a coloring document reads a witness
+        replayed = [h.element(word_to_text(e.word)).vector for e in pool]
+        assert replayed == [e.vector for e in pool]
 
 
 class TestConjugateBuild:
@@ -296,8 +336,8 @@ def equal_pairs(elements):
 
 def parabolic_fixing(p: complex):
     """A parabolic element (of a one-generator rep) with fixed point p."""
-    m = MoebiusMap(1 + p, -p * p, 1.0, 1 - p)
-    return HolonomyRep(generators=("g",), matrices={"g": m}).element("g")
+    v = parabolic_vector(MoebiusMap(1 + p, -p * p, 1.0, 1 - p))
+    return HolonomyRep(generators=("g",), vectors={"g": v}).element("g")
 
 
 def stereographic(z: complex) -> tuple[float, float, float]:

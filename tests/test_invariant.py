@@ -100,11 +100,14 @@ class TestNaturalColoring:
         assert abs(result.phi - FIG8_VOLUME) < 1e-9
 
     def test_every_base_choice_is_plus_volume(self, fig8, rep, w):
+        arcs = natural_coloring(fig8, rep).arc_colors
         for region in range(fig8.n_regions):
+            walks = fig8.region_steps_from(region)
             for gen in rep.generators:
-                s = natural_coloring(
-                    fig8, rep, base_region=region, base_color=rep.element(gen)
-                )
+                base = rep.element(gen).vector
+                regions = invariant._extend_regions(walks, arcs, base)
+                s = invariant.ShadowColoring(arcs, regions)
+                assert validate_coloring(fig8, s) == []
                 assert phi(fig8, s, w, FIG8_VOLUME).k == 1
 
     def test_arc_colors_are_distinct_generators(self, fig8, rep):
@@ -171,6 +174,28 @@ class TestColoringDocuments:
     def test_malformed_document_rejected(self, fig8, rep):
         with pytest.raises(ColoringInvalid):
             coloring_from_doc(fig8, rep, {"arcs": {}})
+
+    @pytest.mark.parametrize("diagram", ["fig8", "fig8_r2"])
+    def test_symmetry_witnesses_replay_exactly(self, request, diagram):
+        """A witness read back from its document is the coloring the tally
+        classified: the same arc and region vectors and the same Phi."""
+        d = request.getfixturevalue(diagram)
+        h_std = load_holonomy(FIG8_HOLONOMY, d)
+        h_rev = load_holonomy(FIG8_HOLONOMY_REVERSED, d)
+        report = symmetry_report(d, h_std, h_rev, depth=2, cap=10**6)
+        replayed = 0
+        for h, tally in ((h_std, report.standard), (h_rev, report.reversed_)):
+            w = first_generator(h)
+            volume = reference_volume(h, d, w)
+            for s in tally.first_witness.values():
+                again = coloring_from_doc(d, h, s.to_json_dict())
+                assert {i: e.vector for i, e in again.arc_colors.items()} == {
+                    i: e.vector for i, e in s.arc_colors.items()
+                }
+                assert again.region_colors == s.region_colors
+                assert phi(d, again, w, volume) == phi(d, s, w, volume)
+                replayed += 1
+        assert replayed == 6  # k = -1, 0, +1 on each orientation
 
 
 class TestPhi:
