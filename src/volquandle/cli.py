@@ -18,9 +18,10 @@ from .errors import InputError, OutOfLattice, VolquandleError
 from .fixtures import FIXTURES
 from .holquandle import HolonomyRep, load_holonomy
 from .invariant import (
+    FLAG_WITNESSES,
+    PhiResult,
     coloring_from_doc,
     first_generator,
-    natural_coloring,
     phi,
     reference_volume,
     symmetry_report,
@@ -110,14 +111,7 @@ def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _print_phi(args, d: Diagram, h: HolonomyRep, coloring) -> int:
-    """Phi of `coloring()`, which is built once the reference volume is known."""
-    w = first_generator(h)
-    try:
-        volume = reference_volume(h, d, w)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    result = phi(d, coloring(), w, volume)
+def _print_phi(args, result: PhiResult) -> int:
     p = args.precision
     doc = {
         "phi": float(_fmt(result.phi, p)),
@@ -173,8 +167,8 @@ def cmd_parse(args) -> int:
 
 def cmd_volume(args) -> int:
     d = _load_diagram(args)
-    h = _require_rep(args, d)
-    return _print_phi(args, d, h, lambda: natural_coloring(d, h))
+    volume = reference_volume(_require_rep(args, d), d)
+    return _print_phi(args, PhiResult(phi=volume, volume=volume, k=1, residual=0.0))
 
 
 def cmd_invariant(args) -> int:
@@ -183,7 +177,7 @@ def cmd_invariant(args) -> int:
     if not getattr(args, "coloring", None):
         raise InputError("no coloring given: use --coloring FILE")
     s = coloring_from_doc(d, h, _read_json(args.coloring))
-    return _print_phi(args, d, h, lambda: s)
+    return _print_phi(args, phi(d, s, first_generator(h), reference_volume(h, d)))
 
 
 def cmd_enumerate(args) -> int:
@@ -207,22 +201,8 @@ def cmd_symmetry(args) -> int:
     h_rev = _load_rep(args, d, reversed_=True)
     report = symmetry_report(d, h_std, h_rev, args.depth, args.cap)
     doc = report.to_json_dict()
-
-    def witness_doc(tally, k):
-        s = tally.first_witness.get(k)
-        return None if s is None else s.to_json_dict()["arcs"]
-
-    doc["witnesses"] = {
-        "negatively_amphicheiral": witness_doc(report.standard, -1),
-        "invertible": None
-        if report.reversed_ is None
-        else witness_doc(report.reversed_, 1),
-        "positively_amphicheiral": None
-        if report.reversed_ is None
-        else witness_doc(report.reversed_, -1),
-    }
     lines = []
-    for flag in ("negatively_amphicheiral", "invertible", "positively_amphicheiral"):
+    for flag in FLAG_WITNESSES:
         lines.append(f"{flag}: {doc[flag]}")
         witness = doc["witnesses"][flag]
         if witness is not None:

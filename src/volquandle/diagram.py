@@ -240,6 +240,18 @@ class Diagram:
                     queue.append(nxt)
         return [(r, walks[r]) for r in range(self.n_regions)]
 
+    def reversed(self) -> "Diagram":
+        """The same knot with every edge's direction reversed; signs are kept.
+
+        Edge e becomes (2n + 1 - e) mod 2n + 1 and X(a,b,c,d) becomes
+        X(c,d,a,b); reversing twice gives back the PD text.
+        """
+        m = 2 * self.n_crossings
+        return parse_pd(" ".join(
+            "X({},{},{},{})".format(*((m + 1 - e) % m + 1 for e in (c, d, a, b)))
+            for a, b, c, d in (cr.edges for cr in self.crossings)
+        ))
+
     # -- serialization -----------------------------------------------------
 
     def to_pd_text(self) -> str:

@@ -112,8 +112,8 @@ class HolonomyRep(NamedTuple):
     generators: tuple[str, ...]
     vectors: dict[str, Vector]
     orientation: str = "standard"
-    volume: float | None = None
-    arc_generators: tuple[str, ...] | None = None  # arc id -> generator name
+    volume: float | None = None  # declared, checked by reference_volume
+    arc_generators: tuple[str, ...] | None = None  # oriented arc id -> name
 
     def vector(self, name: str) -> Vector:
         try:
@@ -419,12 +419,10 @@ def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
     matrices really are Wirtinger images. With as many arcs as generators
     the pool is the generators alone; otherwise it is the depth-1
     conjugate pool. Generators with equal vectors are one pool element,
-    under the first one's word. A reversed-orientation representation
-    satisfies the relations with every crossing sign negated.
+    under the first one's word. `d` is the diagram in the representation's
+    own orientation, `oriented_diagram`.
     """
-    flip = -1 if h.orientation == "reversed" else +1
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
-    frames = [f._replace(sign=flip * f.sign) for f in frames]
     n_arcs = len(d.arcs)
     pool = enumerate_conjugates(h, 0 if len(h.generators) == n_arcs else 1)
     generators = [g.vector for g in h.generator_elements()]
@@ -433,6 +431,11 @@ def find_arc_assignment(d, h: HolonomyRep) -> tuple[str, ...] | None:
         if all(any(vectors_equal(g, c) for c in colors) for g in generators):
             return tuple(word_to_text(coloring[a].word) for a in range(n_arcs))
     return None
+
+
+def oriented_diagram(d, h: HolonomyRep):
+    """The diagram that `h` is a standard document of: `d`, or `d.reversed()`."""
+    return d.reversed() if h.orientation == "reversed" else d
 
 
 def load_holonomy(doc: dict, d) -> HolonomyRep:
@@ -469,8 +472,8 @@ def load_holonomy(doc: dict, d) -> HolonomyRep:
         raise BadMatrix(f"declared volume {volume!r} is not a finite positive number")
     volume = None if volume is None else float(volume)
     rep = HolonomyRep(names, vectors, orientation, volume)
-    assignment = find_arc_assignment(d, rep)
-    if assignment is None and d.n_crossings > 0:
+    assignment = find_arc_assignment(oriented_diagram(d, rep), rep)
+    if assignment is None:
         raise RelationViolated(
             "no assignment of generators to arcs satisfies the "
             "crossing relations (up to sign, tolerance 1e-9)"

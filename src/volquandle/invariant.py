@@ -37,6 +37,7 @@ from .holquandle import (
     arc_colorings,
     crossing_image,
     enumerate_conjugates,
+    oriented_diagram,
     quandle_op,
     quandle_op_inv,  # unused here; perfbench/spans.py still wraps this name
     vectors_equal,
@@ -178,20 +179,20 @@ def _extend_regions(
     return colors
 
 
-def natural_coloring(d: Diagram, h: HolonomyRep) -> ShadowColoring:
-    """Arcs colored by their Wirtinger generators, regions extended."""
-    if h.arc_generators is None:
-        raise ColoringInvalid(
-            "representation has no arc-to-generator assignment for this diagram"
-        )
-    arc_colors = {i: h.element(text) for i, text in enumerate(h.arc_generators)}
-    base = first_generator(h).vector
-    region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
-    s = ShadowColoring(arc_colors, region_colors)
+def _shadow_coloring(d: Diagram, h: HolonomyRep, words, error) -> ShadowColoring:
+    """Arcs colored by (arc id, word text) `words`; `error` on a broken rule."""
+    arc_colors = {i: h.element(t) for i, t in words}
+    walks, base = d.region_steps_from(0), first_generator(h).vector
+    s = ShadowColoring(arc_colors, _extend_regions(walks, arc_colors, base))
     bad = validate_coloring(d, s)
     if bad:
-        raise InconsistentExtension("; ".join(bad))
+        raise error("; ".join(bad))
     return s
+
+
+def natural_coloring(d: Diagram, h: HolonomyRep) -> ShadowColoring:
+    """The arcs of `oriented_diagram` colored by their Wirtinger generators."""
+    return _shadow_coloring(d, h, enumerate(h.arc_generators), InconsistentExtension)
 
 
 def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
@@ -213,16 +214,10 @@ def coloring_from_doc(d: Diagram, h: HolonomyRep, doc: dict) -> ShadowColoring:
             raise ColoringInvalid(f"malformed coloring document: arc id {i!r}")
         if not isinstance(t, str):
             raise ColoringInvalid(f"arc {i!r}: the word {t!r} is not text")
-    arc_colors = {int(i): h.element(t) for i, t in arcs}
-    if sorted(arc_colors) != list(range(len(d.arcs))):
-        raise ColoringInvalid(f"arcs {sorted(arc_colors)} are not 0..{len(d.arcs) - 1}")
-    base = first_generator(h).vector
-    region_colors = _extend_regions(d.region_steps_from(0), arc_colors, base)
-    s = ShadowColoring(arc_colors, region_colors)
-    bad = validate_coloring(d, s)
-    if bad:
-        raise ColoringInvalid("; ".join(bad))
-    return s
+    ids = sorted(int(i) for i, _ in arcs)
+    if ids != list(range(len(d.arcs))):
+        raise ColoringInvalid(f"arcs {ids} are not 0..{len(d.arcs) - 1}")
+    return _shadow_coloring(d, h, ((int(i), t) for i, t in arcs), ColoringInvalid)
 
 
 def boltzmann_weight(
@@ -274,20 +269,23 @@ def iter_colorings(d: Diagram, pool: list[QuandleElement]):
             yield ShadowColoring(arc_colors, region_colors)
 
 
-def reference_volume(h: HolonomyRep, d: Diagram, w: QuandleElement) -> float:
-    """Declared volume if any, else the natural coloring's state sum."""
-    if h.volume is not None:
-        return h.volume
-    if h.orientation == "standard" and h.arc_generators is not None:
-        result = natural_coloring(d, h)
-        total = sum(
-            boltzmann_weight(d, result, ci, w) for ci in range(d.n_crossings)
-        )
-        if total > CLASSIFICATION_TOL:
-            return total
-    raise ValueError(
-        "holonomy document declares no volume and none could be derived"
-    )
+def reference_volume(h: HolonomyRep, d: Diagram) -> float:
+    """V, the natural coloring's state sum on `oriented_diagram(d, h)`.
+
+    By volume rigidity only the complex conjugate of the holonomy also has
+    |vol| = V, and its natural coloring gives -V (Dunfield, Invent. Math.
+    136, 1999); so a sum not above CLASSIFICATION_TOL, or a declared
+    volume off the sum, is an `InputError`.
+    """
+    d = oriented_diagram(d, h)
+    w, s = first_generator(h), natural_coloring(d, h)
+    total = sum(boltzmann_weight(d, s, ci, w) for ci in range(d.n_crossings))
+    if not total > CLASSIFICATION_TOL:
+        raise InputError(f"the natural coloring's state sum is {total!r}, not V > 0"
+                         " (-V: the document is the holonomy's complex conjugate)")
+    if h.volume is not None and abs(h.volume - total) >= CLASSIFICATION_TOL:
+        raise InputError(f"declared volume {h.volume!r} is not the state sum {total!r}")
+    return total
 
 
 class KTally(NamedTuple):
@@ -346,7 +344,7 @@ def tally_colorings(
     """
     pool = enumerate_conjugates(h, depth)
     w = first_generator(h)
-    volume = reference_volume(h, d, w)
+    volume = reference_volume(h, d)
     frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
     walks = d.region_steps_from(0)
     base = w.vector
@@ -378,6 +376,14 @@ def tally_colorings(
     )
 
 
+# flag: the side and the k of the colorings that witness it
+FLAG_WITNESSES = {
+    "negatively_amphicheiral": ("standard", -1),
+    "invertible": ("reversed", 1),
+    "positively_amphicheiral": ("reversed", -1),
+}
+
+
 class SymmetryReport(NamedTuple):
     """Bounded-search symmetry flags; False means 'not detected within bound'."""
 
@@ -387,21 +393,18 @@ class SymmetryReport(NamedTuple):
     standard: KTally
     reversed_: KTally | None
 
-    @staticmethod
-    def _flag(value) -> str:
-        if value is None:
-            return "not computed"
-        return "detected" if value else "not detected within bound"
-
     def to_json_dict(self) -> dict:
-        doc = {
-            "negatively_amphicheiral": self._flag(self.negatively_amphicheiral),
-            "invertible": self._flag(self.invertible),
-            "positively_amphicheiral": self._flag(self.positively_amphicheiral),
-            "standard": self.standard.to_json_dict(),
-        }
+        """The flags, each flag's witness arcs (null if none) and the tallies."""
+        text = {None: "not computed", True: "detected",
+                False: "not detected within bound"}
+        doc = {"standard": self.standard.to_json_dict(), "witnesses": {}}
         if self.reversed_ is not None:
             doc["reversed"] = self.reversed_.to_json_dict()
+        for flag, (side, k) in FLAG_WITNESSES.items():
+            tally = self.standard if side == "standard" else self.reversed_
+            s = None if tally is None else tally.first_witness.get(k)
+            doc[flag] = text[getattr(self, flag)]
+            doc["witnesses"][flag] = None if s is None else s.to_json_dict()["arcs"]
         return doc
 
 
@@ -414,20 +417,20 @@ def symmetry_report(
 ) -> SymmetryReport:
     """Detect invertibility and amphicheirality from bounded enumerations.
 
-    A coloring over the standard representation with k = -1 witnesses
-    negative amphicheirality; over the reversed representation, k = +1
-    witnesses invertibility and k = -1 positive amphicheirality, so each
-    representation must carry the orientation tag of its slot.
+    Each flag is detected when the tally of its side in `FLAG_WITNESSES`
+    has a coloring with its k, so each representation must carry the
+    orientation tag of its slot.
     """
-    for h, tag in ((h_std, "standard"), (h_rev, "reversed")):
+    slots = {"standard": h_std, "reversed": h_rev}
+    for tag, h in slots.items():
         if h is not None and h.orientation != tag:
             raise InputError(f"the {tag} holonomy is tagged {h.orientation!r}")
-    std = tally_colorings(d, h_std, depth, cap)
-    rev = None if h_rev is None else tally_colorings(d, h_rev, depth, cap)
+    tallies = {tag: None if h is None else tally_colorings(d, h, depth, cap)
+               for tag, h in slots.items()}
+    flags = {
+        flag: None if tallies[side] is None else tallies[side].counts.get(k, 0) > 0
+        for flag, (side, k) in FLAG_WITNESSES.items()
+    }
     return SymmetryReport(
-        negatively_amphicheiral=std.counts.get(-1, 0) > 0,
-        invertible=None if rev is None else rev.counts.get(1, 0) > 0,
-        positively_amphicheiral=None if rev is None else rev.counts.get(-1, 0) > 0,
-        standard=std,
-        reversed_=rev,
+        **flags, standard=tallies["standard"], reversed_=tallies["reversed"]
     )

@@ -20,6 +20,15 @@ from volquandle.fixtures import (
 from volquandle.invariant import tally_colorings
 
 
+def conjugate(doc):
+    """The complex conjugate holonomy: every entry [re, im] -> [re, -im]."""
+    matrices = {
+        name: [[[re, -im] for re, im in row] for row in m]
+        for name, m in doc["matrices"].items()
+    }
+    return dict(doc, matrices=matrices)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -185,18 +194,78 @@ class TestVolume:
         assert (code, out) == (1, "")
         assert f"BadMatrix: {message}" in err
 
-    def test_wrong_declared_volume_exit_2(self, capsys, tmp_path):
+    def test_wrong_declared_volume_exit_1(self, capsys, tmp_path):
+        # the declared volume is checked against the natural state sum
         doc = dict(FIG8_HOLONOMY)
         doc["volume"] = 1.0
         hol = tmp_path / "h.json"
         hol.write_text(json.dumps(doc))
         pd = tmp_path / "k.pd"
         pd.write_text(FIG8_PD)
-        code, _, err = run(
+        code, out, err = run(
             capsys, "volume", "--pd", str(pd), "--holonomy", str(hol)
         )
-        assert code == 2
-        assert "state sum" in err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputError: declared volume 1.0 is not")
+
+
+class TestReferenceVolume:
+    """V is each document's natural state sum, on its own diagram."""
+
+    @pytest.mark.parametrize(
+        "holonomy", [FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED], ids=["std", "rev"]
+    )
+    def test_volume_of_each_orientation(self, capsys, tmp_path, holonomy):
+        hol = tmp_path / "h.json"
+        hol.write_text(json.dumps(holonomy))
+        code, out, err = run(
+            capsys, "volume", "--fixture", "fig8", "--holonomy", str(hol), "--json"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["phi"], doc["k"], doc["residual"]) == (doc["volume"], 1, 0.0)
+        assert abs(doc["volume"] - FIG8_VOLUME) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["symmetry", "--holonomy-reversed"],
+        ["enumerate", "--holonomy"],
+    ], ids=["symmetry", "enumerate"])
+    def test_reversed_document_without_volume(self, capsys, tmp_path, argv):
+        undeclared = dict(FIG8_HOLONOMY_REVERSED)
+        del undeclared["volume"]
+        docs = []
+        for holonomy in (FIG8_HOLONOMY_REVERSED, undeclared):
+            hol = tmp_path / "h.json"
+            hol.write_text(json.dumps(holonomy))
+            code, out, err = run(
+                capsys, argv[0], "--fixture", "fig8", argv[1], str(hol),
+                "--depth", "1", "--json",
+            )
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("flag, holonomy", [
+        ("--holonomy", conjugate(FIG8_HOLONOMY)),
+        ("--holonomy-reversed", conjugate(FIG8_HOLONOMY_REVERSED)),
+        ("--holonomy-reversed", dict(FIG8_HOLONOMY, orientation="reversed")),
+        ("--holonomy", dict(FIG8_HOLONOMY_REVERSED, orientation="standard")),
+    ], ids=["conjugate std", "conjugate rev", "std tagged reversed",
+            "rev tagged standard"])
+    def test_natural_state_sum_of_minus_v_exit_1(
+        self, capsys, tmp_path, flag, holonomy
+    ):
+        # each is the conjugate of the holonomy of its slot's orientation:
+        # its natural coloring, k = -1, would witness a flag on any knot
+        hol = tmp_path / "h.json"
+        hol.write_text(json.dumps(holonomy))
+        code, out, err = run(
+            capsys, "symmetry", "--fixture", "fig8", flag, str(hol), "--depth", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: InputError: the natural coloring's state sum is -2.0298832128"
+        )
 
 
 class TestInvariant:
@@ -416,7 +485,7 @@ class TestSymmetry:
         assert doc["positively_amphicheiral"] == "not computed"
 
     def test_wrong_declared_volume_reports_no_flag(self, capsys, tmp_path):
-        # Phi = +-2.03 lies 1.03 off the lattice {-1, 0, +1} of V = 1
+        # V = 1 is not the natural state sum 2.03 of either document
         pd = tmp_path / "k.pd"
         pd.write_text(FIG8_PD)
         argv = ["symmetry", "--pd", str(pd), "--depth", "1", "--json"]
@@ -426,8 +495,8 @@ class TestSymmetry:
             path.write_text(json.dumps(dict(holonomy, volume=1.0)))
             argv += [flag, str(path)]
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert "state sum" in err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InputError: declared volume 1.0 is not")
 
     @pytest.mark.parametrize("holonomy, message", [
         (FIG8_HOLONOMY, "the reversed holonomy is tagged 'standard'"),

@@ -100,6 +100,27 @@ class TestStructure:
             assert f.sign == cr.sign
 
 
+class TestReversed:
+    @pytest.mark.parametrize("pd", [FIG8_PD, FIG8_PD_R2], ids=["fig8", "fig8_r2"])
+    def test_same_knot_other_orientation(self, pd):
+        d = parse_pd(pd)
+        r = d.reversed()
+        assert r.to_pd_text() != d.to_pd_text()
+        assert r.reversed().to_pd_text() == d.to_pd_text()
+        assert r.signs() == d.signs()
+        assert (len(r.arcs), r.n_regions) == (len(d.arcs), d.n_regions)
+
+    def test_fig8_relabelling(self, fig8):
+        # X(a,b,c,d) -> X(c,d,a,b), then e -> (2n + 1 - e) mod 2n + 1
+        assert fig8.reversed().to_pd_text() == (
+            "X(5,1,6,8) X(1,5,2,4) X(3,6,4,7) X(7,2,8,3)"
+        )
+
+    def test_crossingless_diagram_reverses_to_itself(self):
+        r = parse_pd("").reversed()
+        assert (r.to_pd_text(), len(r.arcs), r.n_regions) == ("", 1, 2)
+
+
 class TestRegionWalk:
     def test_trivial_walk(self, fig8):
         assert dict(fig8.region_steps_from(0))[0] == []

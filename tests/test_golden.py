@@ -7,10 +7,14 @@ the CLI command of its case and explains the difference:
 
     PYTHONPATH=src python tests/test_golden.py NAME...
 
-writes each named file from the argv of its case.
+rewrites each named file that the test would reject from the argv of
+its case, and prints a zero-context unified diff of each file it
+rewrites. A file the test accepts, such as a JSON file whose
+`max_residual` moved within its bound, is left as it is.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -82,15 +86,18 @@ def case_argv(name, tmp_path):
     return [arg.format(r2=r2, witness=witness) for arg in CASES[name]]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(capsys, tmp_path, name):
-    assert main(case_argv(name, tmp_path)) == 0
-    out = capsys.readouterr().out
+def assert_output_matches(name, out):
     want = (GOLDEN / name).read_text()
     if name.endswith(".json"):
         assert_matches(json.loads(out), json.loads(want))
     else:
         assert out == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, tmp_path, name):
+    assert main(case_argv(name, tmp_path)) == 0
+    assert_output_matches(name, capsys.readouterr().out)
 
 
 if __name__ == "__main__":
@@ -102,4 +109,13 @@ if __name__ == "__main__":
             code = main(case_argv(name, Path(tmp)))
         if code != 0:
             sys.exit(f"{name}: exit {code}")
-        (GOLDEN / name).write_text(out.getvalue())
+        new, path = out.getvalue(), GOLDEN / name
+        try:
+            assert_output_matches(name, new)
+        except (AssertionError, FileNotFoundError, json.JSONDecodeError):
+            old = path.read_text() if path.exists() else ""
+            sys.stdout.writelines(difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                f"a/tests/golden/{name}", f"b/tests/golden/{name}", n=0,
+            ))
+            path.write_text(new)

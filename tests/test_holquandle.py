@@ -564,8 +564,9 @@ class TestLoadHolonomy:
         assert rep.arc_generators == ("y", "z", "w", "x")
 
     def test_reversed_fixture_loads(self, rep_reversed):
+        # a reversed document names the arcs of the reversed diagram
         assert rep_reversed.orientation == "reversed"
-        assert rep_reversed.arc_generators == ("y^-1", "z^-1", "w^-1", "x^-1")
+        assert rep_reversed.arc_generators == ("x^-1", "w^-1", "z^-1", "y^-1")
 
     def test_r2_diagram_assignment_uses_conjugates(self, fig8_r2):
         h = load_holonomy(FIG8_HOLONOMY, fig8_r2)
@@ -574,7 +575,7 @@ class TestLoadHolonomy:
     def test_r2_diagram_reversed_assignment(self, fig8_r2):
         h = load_holonomy(FIG8_HOLONOMY_REVERSED, fig8_r2)
         assert h.arc_generators == (
-            "y^-1", "z^-1", "w^-1", "x^-1", "w^-1", "x^-1"
+            "x^-1", "w^-1", "x^-1", "w^-1", "z^-1", "y^-1"
         )
 
     def test_generators_with_equal_vectors_load(self, fig8_r2):
@@ -591,6 +592,13 @@ class TestLoadHolonomy:
     def test_one_generator_on_crossingless_diagram(self):
         doc = {"generators": ["w"], "matrices": {"w": FIG8_HOLONOMY["matrices"]["w"]}}
         assert load_holonomy(doc, parse_pd("")).arc_generators == ("w",)
+
+    def test_two_generators_on_crossingless_diagram_rejected(self):
+        # its one arc cannot carry both: no natural coloring, so no volume
+        matrices = FIG8_HOLONOMY["matrices"]
+        doc = {"generators": ["x", "w"], "matrices": {n: matrices[n] for n in "xw"}}
+        with pytest.raises(RelationViolated):
+            load_holonomy(doc, parse_pd(""))
 
     def test_identity_matrix_rejected(self, fig8):
         doc = copy.deepcopy(FIG8_HOLONOMY)

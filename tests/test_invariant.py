@@ -1,9 +1,16 @@
+import runpy
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
-from volquandle.errors import ColoringInvalid, OutOfLattice
-from volquandle.fixtures import FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED, FIG8_VOLUME
+from volquandle.errors import ColoringInvalid, InputError, OutOfLattice
+from volquandle.fixtures import (
+    FIG8_HOLONOMY,
+    FIG8_HOLONOMY_REVERSED,
+    FIG8_VOLUME,
+    FIXTURES,
+)
 from volquandle.holquandle import (
     ElementPool,
     arc_colorings,
@@ -186,7 +193,7 @@ class TestColoringDocuments:
         replayed = 0
         for h, tally in ((h_std, report.standard), (h_rev, report.reversed_)):
             w = first_generator(h)
-            volume = reference_volume(h, d, w)
+            volume = reference_volume(h, d)
             for s in tally.first_witness.values():
                 again = coloring_from_doc(d, h, s.to_json_dict())
                 assert {i: e.vector for i, e in again.arc_colors.items()} == {
@@ -236,8 +243,32 @@ class TestPhi:
         result = phi(mirror, s, h.element("x"), FIG8_VOLUME)
         assert result.k == -1
 
-    def test_reference_volume_prefers_declared(self, fig8, rep, w):
-        assert reference_volume(rep, fig8, w) == FIG8_VOLUME
+    def test_reference_volume_is_the_natural_state_sum(self, fig8, fig8_r2):
+        """V is computed on each document's own diagram; a declared volume
+        is checked against it and never returned."""
+        for d in (fig8, fig8_r2):
+            for doc in (FIG8_HOLONOMY, FIG8_HOLONOMY_REVERSED):
+                h = load_holonomy(doc, d)
+                volume = reference_volume(h, d)
+                assert abs(volume - FIG8_VOLUME) < 1e-12
+                assert reference_volume(h._replace(volume=None), d) == volume
+                near = h._replace(volume=volume + 0.5 * CLASSIFICATION_TOL)
+                assert reference_volume(near, d) == volume
+                far = h._replace(volume=volume - 2.0 * CLASSIFICATION_TOL)
+                with pytest.raises(InputError, match="declared volume"):
+                    reference_volume(far, d)
+
+    def test_every_benchmark_input_keeps_its_volume(self):
+        """The benchmark's seeds 0-199 relabel the PD code and permute the
+        generators; no document is rejected, and V stays the fixture's."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        seeded_inputs = runpy.run_path(str(path))["seeded_inputs"]
+        for seed in range(200):
+            inputs = seeded_inputs(FIXTURES["fig8"], seed)
+            d = parse_pd(inputs["pd"])
+            for key in ("holonomy", "holonomy_reversed"):
+                volume = reference_volume(load_holonomy(inputs[key], d), d)
+                assert abs(volume - FIG8_VOLUME) < 1e-12, (seed, key)
 
 
 def first_colorings(d, pool, cap=10**5):
@@ -345,7 +376,7 @@ def depth_one_stream(request, fig8):
     """One side's representation and its depth-1 colorings with their Phi."""
     h = request.getfixturevalue(request.param)
     w = h.element(((h.generators[0], 1),))
-    volume = reference_volume(h, fig8, w)
+    volume = reference_volume(h, fig8)
     pool = enumerate_conjugates(h, 1)
     stream = [(s, phi(fig8, s, w, volume)) for s in iter_colorings(fig8, pool)]
     return h, len(ElementPool(pool)), stream
@@ -408,7 +439,7 @@ class TestBasePointIndependence:
         d = request.getfixturevalue(diagram)
         h = load_holonomy(holonomy, d)
         w = h.element(((h.generators[0], 1),))
-        volume = reference_volume(h, d, w)
+        volume = reference_volume(h, d)
         pool = ElementPool(enumerate_conjugates(h, 1)).elements
         stream = iter_colorings(d, pool)
         seen = set()
@@ -429,7 +460,7 @@ class TestBasePointIndependence:
         d = request.getfixturevalue(diagram)
         h = load_holonomy(holonomy, d)
         first = first_generator(h)
-        volume = reference_volume(h, d, first)
+        volume = reference_volume(h, d)
         pool = enumerate_conjugates(h, 1)
         frames = [d.crossing_frame(ci) for ci in range(d.n_crossings)]
         walks = d.region_steps_from(0)
